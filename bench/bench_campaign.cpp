@@ -1,8 +1,8 @@
 // Campaign-service throughput bench (ISSUE 5): drives a seeded mix of
 // jobs — duplicates, priorities, one injected mid-job rank death — through
-// CampaignService and reports the service-level figures of merit:
-// jobs/minute, cache hit rate, and the priced retry overhead versus the
-// cold-restart alternative. Machine-readable JSON goes to STDOUT (the
+// a one-shard ShardedFrontend and reports the service-level figures of
+// merit: jobs/minute, cache hit rate, and the priced retry overhead versus
+// the cold-restart alternative. Machine-readable JSON goes to STDOUT (the
 // scripts/bench.sh contract for BENCH_service.json); the human-readable
 // narration goes to stderr.
 
@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "service/service.hpp"
+#include "service/frontend.hpp"
 
 using namespace sfg;
 using namespace sfg::service;
@@ -47,12 +47,13 @@ JobRequest base_request() {
 }  // namespace
 
 int main() {
-  ServiceConfig cfg;
-  cfg.num_workers = 4;
-  cfg.queue_capacity = 8;
+  FrontendConfig cfg;
+  cfg.num_shards = 1;
+  cfg.workers_per_shard = 4;
+  cfg.shard_queue_capacity = 8;
   cfg.work_dir = work_dir();
 
-  CampaignService svc(cfg);
+  ShardedFrontend svc(cfg);
   int submitted = 0;
   // 12 distinct physics shapes...
   for (int i = 0; i < 12; ++i) {
@@ -83,7 +84,7 @@ int main() {
   ++submitted;
 
   svc.wait_all();
-  const CampaignStats s = svc.stats();
+  const FrontendStats s = svc.stats();
   svc.shutdown();
 
   const double retry_overhead_pct =

@@ -1,7 +1,8 @@
 // The campaign service as a library use-case (ISSUE 5): the paper's §6
 // multi-machine production campaign — many events planned ahead, priced
 // with the §5 capacity models, surviving node failures — as a queued
-// service over the repo's box-validation solver.
+// service over the repo's box-validation solver, served by a one-shard
+// ShardedFrontend.
 //
 //   campaign [work_dir] [report.json]
 //
@@ -17,23 +18,25 @@
 #include <iostream>
 
 #include "io/mesh_files.hpp"
-#include "service/service.hpp"
+#include "service/frontend.hpp"
 
 using namespace sfg;
 using namespace sfg::service;
 
 int main(int argc, char** argv) {
-  ServiceConfig cfg;
-  cfg.num_workers = 4;
-  cfg.queue_capacity = 8;
+  FrontendConfig cfg;
+  cfg.num_shards = 1;
+  cfg.workers_per_shard = 4;
+  cfg.shard_queue_capacity = 8;
   cfg.work_dir = argc > 1 ? argv[1] : "campaign_work";
   const std::string report_path =
       argc > 2 ? argv[2] : "campaign_report.json";
 
-  CampaignService svc(cfg);
+  ShardedFrontend svc(cfg);
   std::printf("campaign: %d workers, queue depth %zu, store %s (%s "
               "backend)\n\n",
-              cfg.num_workers, cfg.queue_capacity, svc.store().dir().c_str(),
+              cfg.workers_per_shard, cfg.shard_queue_capacity,
+              svc.store().dir().c_str(),
               io::io_backend_name(cfg.io_backend));
 
   JobRequest base;
@@ -68,13 +71,13 @@ int main(int argc, char** argv) {
   svc.wait_all();
 
   std::printf("  id  state      pri  attempts  resumed  cache  core-s\n");
-  for (const JobRecord& j : svc.jobs())
+  for (const FrontendJob& j : svc.jobs())
     std::printf("  %2d  %-9s  %3d  %8d  %7d  %5s  %.3g\n", j.id,
                 job_state_name(j.state), j.request.priority, j.attempts,
                 j.resumed_from_step, j.cache_hit ? "yes" : "no",
                 j.predicted_core_seconds);
 
-  const CampaignStats s = svc.stats();
+  const FrontendStats s = svc.stats();
   std::printf("\n%llu completed (%llu from cache), %llu retries; "
               "%.1f jobs/min\n",
               static_cast<unsigned long long>(s.completed),

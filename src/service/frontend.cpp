@@ -1,7 +1,9 @@
 #include "service/frontend.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -50,13 +52,9 @@ const std::vector<double> kLatencyBuckets = {0.001, 0.01, 0.1, 1.0,
 
 // ---- shard queue set ----
 
-ShardQueueSet::ShardQueueSet(int nshards, std::size_t capacity,
-                             std::size_t steal_threshold)
+ShardQueueSet::ShardQueueSet(int nshards, std::size_t capacity)
     : nshards_(nshards),
       capacity_(capacity),
-      threshold_(steal_threshold == 0 || steal_threshold > capacity
-                     ? capacity
-                     : steal_threshold),
       queues_(static_cast<std::size_t>(nshards)),
       peaks_(static_cast<std::size_t>(nshards), 0),
       halted_(static_cast<std::size_t>(nshards), false) {
@@ -83,8 +81,8 @@ int ShardQueueSet::steal_source_locked(int shard) const {
     const auto q = static_cast<std::size_t>((shard + d) % nshards_);
     if (queues_[q].empty()) continue;
     // Steal only where locality is already lost: a dead shard's backlog,
-    // a saturated queue, or the final drain after close().
-    if (halted_[q] || closed_ || queues_[q].size() >= threshold_)
+    // a full queue, or the final drain after close().
+    if (halted_[q] || closed_ || queues_[q].size() >= capacity_)
       return static_cast<int>(q);
   }
   return -1;
@@ -174,8 +172,7 @@ ShardedFrontend::ShardedFrontend(const FrontendConfig& config)
       basis_(4),
       ring_(config.num_shards, config.ring),
       scheduler_(config.admission, CostModel{config.pricing_machine}),
-      queues_(config.num_shards, config.shard_queue_capacity,
-              config.steal_threshold),
+      queues_(config.num_shards, config.shard_queue_capacity),
       store_(config.work_dir + "/results", config.io_backend),
       mesh_cache_(basis_) {
   SFG_CHECK_MSG(cfg_.num_shards >= 1, "front-end needs at least one shard");
@@ -326,8 +323,22 @@ void ShardedFrontend::run_one(const ShardQueueSet::Popped& popped,
       ++stats_.executed;
       stats_.retries +=
           static_cast<std::uint64_t>(std::max(0, out.attempts - 1));
-      stats_.priced_core_seconds += priced_core_seconds(
-          request, out.steps_executed, scheduler_.cost_model());
+      const CostModel& model = scheduler_.cost_model();
+      const double executed =
+          priced_core_seconds(request, out.steps_executed, model);
+      stats_.priced_core_seconds += executed;
+      stats_.retry_overhead_core_seconds +=
+          executed - priced_core_seconds(request, request.nsteps, model);
+      // What the same fault would have cost without checkpoints: the dead
+      // attempt's steps plus a full cold re-run.
+      if (out.attempts > 1 && !request.fault.empty()) {
+        const std::int64_t cold_steps =
+            request.nsteps + std::min(request.fault.kill_step, request.nsteps);
+        stats_.cold_restart_core_seconds +=
+            priced_core_seconds(request, cold_steps, model);
+      } else {
+        stats_.cold_restart_core_seconds += executed;
+      }
       ShardStats& ss = shard_stats_[static_cast<std::size_t>(executing_shard)];
       ++ss.executed;
       if (stolen) {
@@ -553,6 +564,10 @@ void ShardedFrontend::write_json_report(std::ostream& os) const {
   os << "    \"predicted_core_seconds\": " << s.predicted_core_seconds
      << ",\n";
   os << "    \"priced_core_seconds\": " << s.priced_core_seconds << ",\n";
+  os << "    \"retry_overhead_core_seconds\": "
+     << s.retry_overhead_core_seconds << ",\n";
+  os << "    \"cold_restart_core_seconds\": "
+     << s.cold_restart_core_seconds << ",\n";
   os << "    \"wall_seconds\": " << s.wall_seconds << ",\n";
   os << "    \"jobs_per_minute\": " << s.jobs_per_minute() << "\n";
   os << "  },\n  \"shards\": [\n";
@@ -721,9 +736,16 @@ class LineScanner {
   std::size_t i_ = 0;
 };
 
+/// Integer fields take only integral numbers inside int's range: a
+/// silently truncated 4.7 would change the content key from what was sent,
+/// and converting an out-of-range double is undefined behaviour.
 bool value_as_int(const JsonValue& v, int* out) {
   if (v.kind != JsonValue::Kind::Number) return false;
-  *out = static_cast<int>(v.number);
+  const double d = v.number;
+  if (!(d >= std::numeric_limits<int>::min() &&
+        d <= std::numeric_limits<int>::max() && d == std::trunc(d)))
+    return false;
+  *out = static_cast<int>(d);
   return true;
 }
 
@@ -803,9 +825,8 @@ bool parse_request_json(const std::string& line, JobRequest* out,
               (r.model = BoxModel::UniformRock, true)) ||
              (v.string == "fluid_layer" &&
               (r.model = BoxModel::FluidLayer, true));
-      else if (v.kind == JsonValue::Kind::Number)
-        r.model = v.number != 0.0 ? BoxModel::FluidLayer
-                                  : BoxModel::UniformRock;
+      else if (int m = -1; value_as_int(v, &m) && (m == 0 || m == 1))
+        r.model = m == 1 ? BoxModel::FluidLayer : BoxModel::UniformRock;
       else
         ok = false;
       if (!ok && error != nullptr)
@@ -866,9 +887,13 @@ std::string ShardedFrontend::handle_line(const std::string& line) {
       for (const auto& [k2, v2] : fields) {
         int id = -1;
         if (k2 == "id" && value_as_int(v2, &id)) {
-          if (id < 0 || id >= static_cast<int>(jobs().size()))
-            return error_line("unknown job id " + std::to_string(id));
-          const FrontendJob rec = job(id);
+          FrontendJob rec;
+          {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (id < 0 || id >= static_cast<int>(records_.size()))
+              return error_line("unknown job id " + std::to_string(id));
+            rec = records_[static_cast<std::size_t>(id)];
+          }
           std::ostringstream os;
           os << "{\"id\": " << rec.id << ", \"state\": \""
              << job_state_name(rec.state) << "\", \"shard\": "
@@ -879,7 +904,7 @@ std::string ShardedFrontend::handle_line(const std::string& line) {
           return os.str();
         }
       }
-      return error_line("cmd \"job\" needs a numeric \"id\"");
+      return error_line("cmd \"job\" needs an integer \"id\"");
     }
     return error_line("unknown cmd \"" + v.string + "\"");
   }

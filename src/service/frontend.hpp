@@ -9,11 +9,12 @@
 /// globally no matter which user submitted first.
 ///
 /// Anatomy of one shard: a bounded admission queue (priority desc, cost
-/// asc, FIFO — the ISSUE-5 order), a fixed worker pool, and a TieredCache
-/// (an in-memory LRU of parsed results over the ONE shared on-disk
-/// ResultStore). The scheduler (capacity-model admission), mesh cache and
-/// result store are shared across shards; the ring keeps each key's
-/// lookups on one shard's LRU so the zipfian head stays resident.
+/// asc, FIFO), a fixed worker pool, and a TieredCache (an in-memory LRU of
+/// parsed results over the ONE shared on-disk ResultStore). The scheduler
+/// (capacity-model admission), mesh cache and result store are shared
+/// across shards; the ring keeps each key's lookups on one shard's LRU so
+/// the zipfian head stays resident. One shard is the plain campaign
+/// service: one queue, one worker pool, one store.
 ///
 /// Flow of one submission:
 ///
@@ -46,7 +47,6 @@
 #include "perf/metrics.hpp"
 #include "quadrature/gll.hpp"
 #include "service/job.hpp"
-#include "service/queue.hpp"
 #include "service/result_store.hpp"
 #include "service/scheduler.hpp"
 #include "service/shard_ring.hpp"
@@ -61,16 +61,20 @@ struct FrontendConfig {
   std::size_t shard_queue_capacity = 32;
   /// Memory-tier entries per shard LRU (0 disables the memory tier).
   std::size_t lru_entries_per_shard = 64;
-  /// Queue depth at which other shards' idle workers may steal from a
-  /// shard (0 = only when full). Halted shards are always stealable.
-  std::size_t steal_threshold = 0;
+  /// Retries per job after the first attempt (fault-aborted attempts
+  /// resume from the last consistent checkpoint set).
   int max_retries = 2;
   /// Root directory: the shared result store under <work_dir>/results,
   /// per-job scratch under <work_dir>/jobs/<id>.
   std::string work_dir = "frontend_work";
   AdmissionPolicy admission;
   const MachineSpec* pricing_machine = nullptr;  ///< null = franklin()
+  /// sfg_io backend for the result store and per-job scratch checkpoints.
+  /// The container default keeps a whole campaign at O(1) files — one
+  /// results.sfgc plus one checkpoints.sfgc per in-flight job.
   io::IoBackendKind io_backend = io::IoBackendKind::Container;
+  /// Out-of-core mesh cache (0 = keep every slice resident): the maximum
+  /// resident slices before LRU spilling into <work_dir>/mesh_cache.sfgc.
   std::size_t mesh_cache_max_resident = 0;
   ShardRingOptions ring;
 };
@@ -88,10 +92,13 @@ struct FrontendJob {
   CacheTier tier = CacheTier::Miss;  ///< serving tier when cache_hit
   bool coalesced = false;   ///< duplicate served by an in-flight primary
   bool stolen = false;      ///< executed by a worker of another shard
-  int attempts = 0;
+  int attempts = 0;         ///< execution attempts (0 for cache hits)
+  /// Step the last retry resumed from (-1 = never restarted / cold).
   int resumed_from_step = -1;
+  /// Time steps actually marched, summed over attempts (a failed attempt
+  /// contributes the steps it completed before dying).
   std::int64_t steps_executed = 0;
-  double predicted_core_seconds = 0.0;
+  double predicted_core_seconds = 0.0;  ///< admission-time capacity price
   double submit_time_s = 0.0;  ///< front-end clock
   double done_time_s = 0.0;    ///< front-end clock; 0 until terminal
   std::string error;
@@ -117,8 +124,14 @@ struct FrontendStats {
   std::uint64_t mesh_cache_hits = 0;
   std::uint64_t mesh_cache_misses = 0;
   std::size_t queue_peak = 0;        ///< max over shards
-  double predicted_core_seconds = 0.0;
-  double priced_core_seconds = 0.0;
+  double predicted_core_seconds = 0.0;  ///< admitted predictions
+  double priced_core_seconds = 0.0;     ///< executed steps, model-priced
+  /// Core-seconds re-marched because of faults (executed minus the
+  /// fault-free price of every computed job) — what retry costs.
+  double retry_overhead_core_seconds = 0.0;
+  /// What the same faults would have cost with cold re-runs instead of
+  /// retry-from-checkpoint (model-priced; compare with the line above).
+  double cold_restart_core_seconds = 0.0;
   double wall_seconds = 0.0;
 
   double cache_hit_rate() const {
@@ -146,14 +159,23 @@ struct ShardStats {
   std::size_t queue_peak = 0;
 };
 
+/// One queued unit of work (the ledger record stays with the front-end).
+struct QueueEntry {
+  int job_id = -1;
+  int priority = 0;             ///< higher runs first
+  double cost_core_seconds = 0; ///< predicted cost; cheaper runs first
+  std::uint64_t seq = 0;        ///< FIFO tiebreak, assigned by the queue
+};
+
 /// The per-shard bounded queues plus the spill/steal policy, all under one
-/// lock (contention is per-job — nowhere near a hot path). Pop prefers the
-/// worker's own shard; stealing is restricted to saturated or halted
-/// queues so warm-shard locality survives normal operation.
+/// lock (contention is per-job — nowhere near a hot path). Each queue pops
+/// by priority (descending), then predicted cost (ascending: shortest job
+/// first within a priority band), then FIFO. Pop prefers the worker's own
+/// shard; stealing is restricted to full or halted queues so warm-shard
+/// locality survives normal operation.
 class ShardQueueSet {
  public:
-  ShardQueueSet(int nshards, std::size_t capacity,
-                std::size_t steal_threshold);
+  ShardQueueSet(int nshards, std::size_t capacity);
 
   struct Popped {
     QueueEntry entry;
@@ -166,8 +188,8 @@ class ShardQueueSet {
   int submit(int home, QueueEntry entry);
 
   /// Blocking pop for a worker of `shard`: own queue first, then the best
-  /// entry of a halted or saturated queue. nullopt when the shard is
-  /// halted or the set is closed and drained.
+  /// entry of a halted or full queue. nullopt when the shard is halted or
+  /// the set is closed and drained.
   std::optional<Popped> pop_for(int shard);
 
   /// Mark a shard's workers dead: its pops return nullopt, its queue
@@ -195,7 +217,6 @@ class ShardQueueSet {
 
   const int nshards_;
   const std::size_t capacity_;
-  const std::size_t threshold_;
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;

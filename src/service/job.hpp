@@ -121,7 +121,7 @@ inline RequestKey request_key(const JobRequest& r) {
 /// Lifecycle of one submitted job.
 enum class JobState : std::int32_t {
   Rejected,   ///< admission control refused it (cost gate / bad request)
-  Queued,     ///< admitted, waiting in the MPMC queue
+  Queued,     ///< admitted, waiting in a shard queue
   Coalesced,  ///< duplicate of an in-flight request; waits for the primary
   Running,    ///< claimed by a worker
   Done,       ///< result available in the store
@@ -139,25 +139,5 @@ inline const char* job_state_name(JobState s) {
   }
   return "?";
 }
-
-/// The service's ledger entry for one submitted job.
-struct JobRecord {
-  int id = -1;
-  JobRequest request;
-  RequestKey key = 0;
-  JobState state = JobState::Queued;
-  bool cache_hit = false;  ///< served from the result store, not computed
-  int attempts = 0;        ///< execution attempts (0 for cache hits)
-  /// Step the last retry resumed from (-1 = never restarted / cold).
-  int resumed_from_step = -1;
-  /// Per-rank time steps actually marched, summed over attempts (failed
-  /// attempts contribute the steps they completed before dying). With
-  /// retry-from-checkpoint this is < the cold-restart total; the report
-  /// prices the difference.
-  std::int64_t steps_executed = 0;
-  double predicted_core_seconds = 0.0;  ///< admission-time capacity price
-  double wall_seconds = 0.0;            ///< measured execution wall time
-  std::string error;                    ///< last failure message
-};
 
 }  // namespace sfg::service

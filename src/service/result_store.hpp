@@ -42,7 +42,7 @@ class ResultStore {
   /// Opens (and creates if needed) `dir` with the given sfg_io backend,
   /// indexing any existing results. The default keeps the legacy
   /// one-file-per-result layout; campaigns select the container backend
-  /// through ServiceConfig::io_backend.
+  /// through FrontendConfig::io_backend.
   explicit ResultStore(
       const std::string& dir,
       io::IoBackendKind backend = io::IoBackendKind::PerRankFiles);

@@ -1,5 +1,6 @@
 #include "service/scheduler.hpp"
 
+#include <cmath>
 #include <mutex>
 #include <sstream>
 
@@ -52,9 +53,21 @@ std::optional<double> Scheduler::admit(const JobRequest& r,
   if (r.nranks > 1 && r.nex % r.nranks != 0)
     return reject("nex must divide evenly across nranks slices");
   if (r.nsteps <= 0) return reject("nsteps must be positive");
-  if (r.dt <= 0.0) return reject("dt must be positive");
-  if (r.extent_m <= 0.0) return reject("extent_m must be positive");
+  // Non-finite numbers never reach the solver: an infinite dt would
+  // march to a NaN seismogram and cache it under the request's key.
+  if (!(std::isfinite(r.dt) && r.dt > 0.0))
+    return reject("dt must be positive and finite");
+  if (!(std::isfinite(r.extent_m) && r.extent_m > 0.0))
+    return reject("extent_m must be positive and finite");
+  const SourceSpec& src = r.source;
+  for (double v : {src.x, src.y, src.z, src.force[0], src.force[1],
+                   src.force[2], src.f0, src.t0})
+    if (!std::isfinite(v))
+      return reject("source position, force, f0 and t0 must be finite");
   if (r.stations.empty()) return reject("at least one station required");
+  for (const StationSpec& st : r.stations)
+    if (!(std::isfinite(st.x) && std::isfinite(st.y) && std::isfinite(st.z)))
+      return reject("station coordinates must be finite");
   if (r.checkpoint_interval_steps < 0)
     return reject("checkpoint interval must be >= 0");
   if (!r.fault.empty() && r.nranks < 2)

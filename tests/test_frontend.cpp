@@ -216,7 +216,37 @@ TEST(Protocol, RejectsMalformedLines) {
       parse_request_json("{\"stations\": [1, 2]}", &r, &error));
   EXPECT_FALSE(parse_request_json("{\"stations\": 3}", &r, &error));
   EXPECT_FALSE(parse_request_json("{\"model\": \"granite\"}", &r, &error));
+  EXPECT_FALSE(parse_request_json("{\"model\": 0.5}", &r, &error));
   EXPECT_FALSE(parse_request_json("{\"nex\": \"four\"}", &r, &error));
+  // Integer fields: truncating 4.7 to 4 would silently change the content
+  // key, and 1e300 has no int value at all.
+  for (const char* line : {"{\"nex\": 4.7}", "{\"nex\": 1e300}",
+                           "{\"nsteps\": -1e300}", "{\"nranks\": nan}"}) {
+    error.clear();
+    EXPECT_FALSE(parse_request_json(line, &r, &error)) << line;
+    EXPECT_NE(error.find("has the wrong type"), std::string::npos)
+        << line << ": " << error;
+  }
+}
+
+TEST(Protocol, NonFiniteRequestIsRejectedAndNeverCached) {
+  FrontendConfig config;
+  config.num_shards = 1;
+  config.work_dir = temp_dir("nonfinite");
+  ShardedFrontend frontend(config);
+  for (const char* line :
+       {R"({"nex":4,"dt":inf,"nsteps":5,"stations":[700,510,480]})",
+        R"({"nex":4,"dt":nan,"nsteps":5,"stations":[700,510,480]})",
+        R"({"nex":4,"extent_m":nan,"nsteps":5,"stations":[700,510,480]})",
+        R"({"nex":4,"nsteps":5,"stations":[700,nan,480]})"}) {
+    const std::string resp = frontend.handle_line(line);
+    EXPECT_NE(resp.find("\"state\": \"rejected\""), std::string::npos)
+        << line << " -> " << resp;
+  }
+  frontend.wait_all();
+  EXPECT_EQ(frontend.stats().rejected, 4u);
+  EXPECT_EQ(frontend.store().size(), 0u) << "nothing may reach the cache";
+  frontend.shutdown();
 }
 
 TEST(Protocol, HandleLineServesRequestsAndControlCommands) {
@@ -242,6 +272,9 @@ TEST(Protocol, HandleLineServesRequestsAndControlCommands) {
   EXPECT_NE(job.find("\"state\": \"done\""), std::string::npos) << job;
 
   EXPECT_NE(frontend.handle_line("{\"cmd\": \"job\", \"id\": 99}")
+                .find("error"),
+            std::string::npos);
+  EXPECT_NE(frontend.handle_line("{\"cmd\": \"job\", \"id\": 0.5}")
                 .find("error"),
             std::string::npos);
   EXPECT_NE(frontend.handle_line("{\"cmd\": \"selfdestruct\"}")

@@ -26,7 +26,7 @@
 #include "io/mesh_files.hpp"
 #include "io/snapshot.hpp"
 #include "mesh/cartesian.hpp"
-#include "service/service.hpp"
+#include "service/frontend.hpp"
 #include "service/worker.hpp"
 #include "solver/simulation.hpp"
 
@@ -617,8 +617,9 @@ TEST(MeshCache, SpillsLruSlicesAndReloadsThemIntact) {
 
 TEST(Campaign, ContainerBackendKeepsWholeCampaignInOneFile) {
   TmpDir tmp;
-  service::ServiceConfig cfg;
-  cfg.num_workers = 2;
+  service::FrontendConfig cfg;
+  cfg.num_shards = 1;
+  cfg.workers_per_shard = 2;
   cfg.work_dir = tmp.path + "/camp";
   cfg.io_backend = io::IoBackendKind::Container;
 
@@ -629,7 +630,7 @@ TEST(Campaign, ContainerBackendKeepsWholeCampaignInOneFile) {
   base.nsteps = 12;
 
   {
-    service::CampaignService svc(cfg);
+    service::ShardedFrontend svc(cfg);
     for (int i = 0; i < 3; ++i) {
       service::JobRequest r = base;
       r.source.z = 500.0 + 10.0 * i;
@@ -641,21 +642,21 @@ TEST(Campaign, ContainerBackendKeepsWholeCampaignInOneFile) {
       svc.submit(r);
     }
     svc.wait_all();
-    for (const service::JobRecord& j : svc.jobs())
+    for (const service::FrontendJob& j : svc.jobs())
       ASSERT_EQ(j.state, service::JobState::Done) << j.error;
     EXPECT_EQ(svc.store().size(), 3u);
     EXPECT_EQ(svc.store().file_count(), 1);
     // Scratch checkpoints are cleaned up on success; the surviving
     // footprint of the whole campaign is the one results container.
     EXPECT_EQ(directory_file_count(cfg.work_dir), 1);
-    const service::JobRecord faulted = svc.jobs()[2];
+    const service::FrontendJob faulted = svc.jobs()[2];
     EXPECT_EQ(faulted.attempts, 2);
     EXPECT_GT(faulted.resumed_from_step, 0);  // resumed via the container
   }
 
   // A fresh service over the same work dir serves the cache from the
   // container (cross-campaign reuse through the sfg_io layer).
-  service::CampaignService svc2(cfg);
+  service::ShardedFrontend svc2(cfg);
   service::JobRequest r = base;
   r.source.z = 500.0;
   svc2.submit(r);

@@ -1,10 +1,11 @@
-// Campaign service tests (ISSUE 5). Covers the bounded MPMC queue
-// (ordering, backpressure, close, concurrent submitters — the TSan
-// target), the content-addressed result store, capacity-model admission,
-// and the acceptance campaign: >= 20 mixed-priority jobs with duplicates
-// and an injected mid-job rank death, every seismogram bit-identical to a
-// standalone run, duplicates served from cache, and the recovered job
-// provably cheaper than a cold re-run under the same pricing model.
+// Campaign service tests. Covers the bounded MPMC shard queue (ordering,
+// backpressure, close, concurrent submitters — the TSan target), the
+// content-addressed result store, capacity-model admission, and the
+// acceptance campaign on a one-shard ShardedFrontend: >= 20 mixed-priority
+// jobs with duplicates and an injected mid-job rank death, every
+// seismogram bit-identical to a standalone run, duplicates served from
+// cache, and the recovered job provably cheaper than a cold re-run under
+// the same pricing model.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -19,7 +22,7 @@
 
 #include "mesh/cartesian.hpp"
 #include "runtime/exchanger.hpp"
-#include "service/service.hpp"
+#include "service/frontend.hpp"
 
 namespace sfg::service {
 namespace {
@@ -33,65 +36,57 @@ std::string temp_dir(const std::string& name) {
   return dir;
 }
 
-// ---- queue ----
+// ---- queue (one shard: the plain campaign queue) ----
 
-TEST(JobQueue, PopsPriorityDescThenCostAscThenFifo) {
-  JobQueue q(16);
-  ASSERT_TRUE(q.try_submit({/*job_id=*/0, /*priority=*/0, /*cost=*/5.0}));
-  ASSERT_TRUE(q.try_submit({1, 2, 9.0}));
-  ASSERT_TRUE(q.try_submit({2, 2, 3.0}));
-  ASSERT_TRUE(q.try_submit({3, 0, 5.0}));  // same as job 0: FIFO after it
-  ASSERT_TRUE(q.try_submit({4, 1, 1.0}));
+int pop_id(ShardQueueSet& q) { return q.pop_for(0)->entry.job_id; }
+
+TEST(ShardQueueSet, PopsPriorityDescThenCostAscThenFifo) {
+  ShardQueueSet q(1, 16);
+  ASSERT_EQ(q.submit(0, {/*job_id=*/0, /*priority=*/0, /*cost=*/5.0}), 0);
+  ASSERT_EQ(q.submit(0, {1, 2, 9.0}), 0);
+  ASSERT_EQ(q.submit(0, {2, 2, 3.0}), 0);
+  ASSERT_EQ(q.submit(0, {3, 0, 5.0}), 0);  // same as job 0: FIFO after it
+  ASSERT_EQ(q.submit(0, {4, 1, 1.0}), 0);
 
   std::vector<int> order;
-  for (int i = 0; i < 5; ++i) order.push_back(q.pop()->job_id);
+  for (int i = 0; i < 5; ++i) order.push_back(pop_id(q));
   EXPECT_EQ(order, (std::vector<int>{2, 1, 4, 0, 3}));
+  EXPECT_EQ(q.peak(0), 5u);
 }
 
-TEST(JobQueue, TrySubmitRefusesWhenFull) {
-  JobQueue q(2);
-  EXPECT_TRUE(q.try_submit({0}));
-  EXPECT_TRUE(q.try_submit({1}));
-  EXPECT_FALSE(q.try_submit({2}));
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.peak_size(), 2u);
-  q.pop();
-  EXPECT_TRUE(q.try_submit({2}));
-}
-
-TEST(JobQueue, SubmitBlocksOnBackpressureUntilPop) {
-  JobQueue q(1);
-  ASSERT_TRUE(q.try_submit({0}));
+TEST(ShardQueueSet, SubmitBlocksOnBackpressureUntilPop) {
+  ShardQueueSet q(1, 1);
+  ASSERT_EQ(q.submit(0, {0}), 0);
   std::atomic<bool> submitted{false};
   std::thread t([&] {
-    EXPECT_TRUE(q.submit({1}));  // blocks: queue is full
+    EXPECT_EQ(q.submit(0, {1}), 0);  // blocks: the only queue is full
     submitted = true;
   });
   // The submitter cannot finish while the queue is full. (A sleep cannot
   // prove blocking, but TSan + the final assertions prove the handoff.)
-  EXPECT_EQ(q.pop()->job_id, 0);
+  EXPECT_EQ(pop_id(q), 0);
   t.join();
   EXPECT_TRUE(submitted);
-  EXPECT_EQ(q.pop()->job_id, 1);
+  EXPECT_EQ(pop_id(q), 1);
 }
 
-TEST(JobQueue, CloseDrainsPendingThenEndsAndRefusesSubmits) {
-  JobQueue q(8);
-  ASSERT_TRUE(q.try_submit({0}));
-  ASSERT_TRUE(q.try_submit({1}));
+TEST(ShardQueueSet, CloseDrainsPendingThenEndsAndRefusesSubmits) {
+  ShardQueueSet q(1, 8);
+  ASSERT_EQ(q.submit(0, {0}), 0);
+  ASSERT_EQ(q.submit(0, {1}), 0);
   q.close();
-  EXPECT_FALSE(q.try_submit({2}));
-  EXPECT_FALSE(q.submit({3}));
-  EXPECT_TRUE(q.pop().has_value());
-  EXPECT_TRUE(q.pop().has_value());
-  EXPECT_FALSE(q.pop().has_value());  // drained: nullopt, no hang
+  EXPECT_EQ(q.submit(0, {2}), -1);
+  EXPECT_TRUE(q.pop_for(0).has_value());
+  EXPECT_TRUE(q.pop_for(0).has_value());
+  EXPECT_FALSE(q.pop_for(0).has_value());  // drained: nullopt, no hang
+  EXPECT_EQ(q.size(0), 0u);
 }
 
-TEST(JobQueue, ConcurrentSubmittersAndWorkersLoseNothing) {
+TEST(ShardQueueSet, ConcurrentSubmittersAndWorkersLoseNothing) {
   // The TSan scenario: 4 submitters x 64 entries racing 4 workers through
   // a 16-deep queue. Every entry must come out exactly once.
   const int kSubmitters = 4, kWorkers = 4, kPerSubmitter = 64;
-  JobQueue q(16);
+  ShardQueueSet q(1, 16);
   std::vector<std::thread> threads;
   for (int s = 0; s < kSubmitters; ++s)
     threads.emplace_back([&, s] {
@@ -100,17 +95,17 @@ TEST(JobQueue, ConcurrentSubmittersAndWorkersLoseNothing) {
         e.job_id = s * kPerSubmitter + i;
         e.priority = i % 3;
         e.cost_core_seconds = static_cast<double>(i % 7);
-        ASSERT_TRUE(q.submit(e));
+        ASSERT_EQ(q.submit(0, e), 0);
       }
     });
   std::mutex popped_mutex;
   std::set<int> popped;
   for (int w = 0; w < kWorkers; ++w)
     threads.emplace_back([&] {
-      while (auto e = q.pop()) {
+      while (auto p = q.pop_for(0)) {
         std::lock_guard<std::mutex> lock(popped_mutex);
-        EXPECT_TRUE(popped.insert(e->job_id).second)
-            << "entry " << e->job_id << " popped twice";
+        EXPECT_TRUE(popped.insert(p->entry.job_id).second)
+            << "entry " << p->entry.job_id << " popped twice";
       }
     });
   for (int s = 0; s < kSubmitters; ++s) threads[static_cast<size_t>(s)].join();
@@ -248,6 +243,32 @@ TEST(Scheduler, RejectsMalformedRequests) {
   r.fault.kill_step = 5;
   r.nranks = 2;
   EXPECT_FALSE(sched.admit(r, &why).has_value());  // kill_rank >= nranks
+
+  // Non-finite numbers: an infinite dt would march to a NaN seismogram
+  // and poison the content-addressed cache; NaN passes every `<= 0` test.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::function<void(JobRequest&)>> non_finite = {
+      [&](JobRequest& q) { q.dt = inf; },
+      [&](JobRequest& q) { q.dt = nan; },
+      [&](JobRequest& q) { q.extent_m = inf; },
+      [&](JobRequest& q) { q.extent_m = nan; },
+      [&](JobRequest& q) { q.source.x = nan; },
+      [&](JobRequest& q) { q.source.z = -inf; },
+      [&](JobRequest& q) { q.source.force[1] = inf; },
+      [&](JobRequest& q) { q.source.f0 = nan; },
+      [&](JobRequest& q) { q.source.t0 = inf; },
+      [&](JobRequest& q) { q.stations.push_back({100.0, nan, 900.0}); },
+      [&](JobRequest& q) { q.stations[0].z = inf; },
+  };
+  for (std::size_t c = 0; c < non_finite.size(); ++c) {
+    r = small_request();
+    non_finite[c](r);
+    why.message.clear();
+    EXPECT_FALSE(sched.admit(r, &why).has_value()) << "case " << c;
+    EXPECT_NE(why.message.find("finite"), std::string::npos)
+        << "case " << c << ": " << why.message;
+  }
 }
 
 TEST(Scheduler, PricesWithCapacityModelAndEnforcesBudgets) {
@@ -379,10 +400,11 @@ JobResult standalone_run(const JobRequest& r) {
 
 // ---- the acceptance campaign ----
 
-TEST(CampaignService, MixedCampaignWithFaultsDuplicatesAndCache) {
-  ServiceConfig cfg;
-  cfg.num_workers = 3;
-  cfg.queue_capacity = 8;  // < campaign size: exercises backpressure
+TEST(Campaign, MixedCampaignWithFaultsDuplicatesAndCache) {
+  FrontendConfig cfg;
+  cfg.num_shards = 1;
+  cfg.workers_per_shard = 3;
+  cfg.shard_queue_capacity = 8;  // < campaign size: exercises backpressure
   cfg.max_retries = 2;
   cfg.work_dir = temp_dir("campaign");
 
@@ -407,7 +429,7 @@ TEST(CampaignService, MixedCampaignWithFaultsDuplicatesAndCache) {
   faulted.fault.kill_step = 25;
   faulted.priority = 3;
 
-  CampaignService service(cfg);
+  ShardedFrontend service(cfg);
   std::vector<int> ids;
   std::vector<JobRequest> submitted;
   // 10 primaries + 8 duplicates (same physics, different priorities) + the
@@ -447,7 +469,7 @@ TEST(CampaignService, MixedCampaignWithFaultsDuplicatesAndCache) {
   // Every non-rejected job reached Done; the malformed one was rejected.
   int done = 0, rejected = 0, computed = 0, cache_hits = 0;
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    const JobRecord rec = service.job(ids[i]);
+    const FrontendJob rec = service.job(ids[i]);
     if (rec.state == JobState::Rejected) {
       ++rejected;
       EXPECT_TRUE(rec.request.stations.empty());
@@ -469,7 +491,7 @@ TEST(CampaignService, MixedCampaignWithFaultsDuplicatesAndCache) {
   // the same request — including the faulted job, whose recovery must not
   // leave a trace in the physics.
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    const JobRecord rec = service.job(ids[i]);
+    const FrontendJob rec = service.job(ids[i]);
     if (rec.state != JobState::Done) continue;
     const auto got = service.result(ids[i]);
     ASSERT_TRUE(got.has_value()) << "job " << rec.id;
@@ -489,7 +511,7 @@ TEST(CampaignService, MixedCampaignWithFaultsDuplicatesAndCache) {
   for (std::size_t i = 0; i < submitted.size(); ++i)
     if (!submitted[i].fault.empty()) faulted_id = ids[i];
   ASSERT_GE(faulted_id, 0);
-  const JobRecord frec = service.job(faulted_id);
+  const FrontendJob frec = service.job(faulted_id);
   ASSERT_EQ(frec.state, JobState::Done) << frec.error;
   EXPECT_EQ(frec.attempts, 2);
   EXPECT_EQ(frec.resumed_from_step, 20)
@@ -498,12 +520,13 @@ TEST(CampaignService, MixedCampaignWithFaultsDuplicatesAndCache) {
   // attempt) + 30 (resume 20->50) = 55 < 50 + 25 = 75.
   EXPECT_EQ(frec.steps_executed, 55);
 
-  const CampaignStats stats = service.stats();
+  const FrontendStats stats = service.stats();
   EXPECT_EQ(stats.submitted, 20u);
   EXPECT_EQ(stats.rejected, 1u);
   EXPECT_EQ(stats.completed, 19u);
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.cache_hits, 8u);
+  EXPECT_EQ(stats.executed, 11u);
   EXPECT_EQ(stats.retries, 1u);
   EXPECT_GT(stats.mesh_cache_hits, 0u) << "duplicate shapes share meshes";
   // Replay pricing: the campaign with retry-from-checkpoint costs less
@@ -515,8 +538,8 @@ TEST(CampaignService, MixedCampaignWithFaultsDuplicatesAndCache) {
 
   // Metrics registry + JSON report.
   const metrics::Registry& reg = service.registry();
-  EXPECT_EQ(reg.counters().at("service.jobs_submitted").value(), 20u);
-  EXPECT_EQ(reg.counters().at("service.cache_hits").value(), 8u);
+  EXPECT_EQ(reg.counters().at("frontend.jobs_submitted").value(), 20u);
+  EXPECT_EQ(reg.counters().at("frontend.cache_hits").value(), 8u);
   std::ostringstream report;
   service.write_json_report(report);
   const std::string json = report.str();
@@ -528,22 +551,23 @@ TEST(CampaignService, MixedCampaignWithFaultsDuplicatesAndCache) {
   service.shutdown();  // idempotent with the destructor
 }
 
-TEST(CampaignService, SecondCampaignServesEverythingFromDiskCache) {
-  ServiceConfig cfg;
-  cfg.num_workers = 2;
+TEST(Campaign, SecondCampaignServesEverythingFromDiskCache) {
+  FrontendConfig cfg;
+  cfg.num_shards = 1;
+  cfg.workers_per_shard = 2;
   cfg.work_dir = temp_dir("campaign_reuse");
   const JobRequest r = small_request();
   {
-    CampaignService first(cfg);
+    ShardedFrontend first(cfg);
     const int id = first.submit(r);
     first.wait_all();
     ASSERT_EQ(first.job(id).state, JobState::Done);
     EXPECT_FALSE(first.job(id).cache_hit);
   }
-  CampaignService second(cfg);
+  ShardedFrontend second(cfg);
   const int id = second.submit(r);
   // A store hit is resolved synchronously at submit time.
-  const JobRecord rec = second.job(id);
+  const FrontendJob rec = second.job(id);
   EXPECT_EQ(rec.state, JobState::Done);
   EXPECT_TRUE(rec.cache_hit);
   EXPECT_EQ(rec.attempts, 0);
@@ -551,12 +575,13 @@ TEST(CampaignService, SecondCampaignServesEverythingFromDiskCache) {
   expect_results_equal(*second.result(id), standalone_run(r));
 }
 
-TEST(CampaignService, ExhaustedRetriesFailTheJobAndItsDuplicates) {
-  ServiceConfig cfg;
-  cfg.num_workers = 1;
+TEST(Campaign, ExhaustedRetriesFailTheJobAndItsDuplicates) {
+  FrontendConfig cfg;
+  cfg.num_shards = 1;
+  cfg.workers_per_shard = 1;
   cfg.max_retries = 0;  // the injected death cannot be retried
   cfg.work_dir = temp_dir("campaign_fail");
-  CampaignService service(cfg);
+  ShardedFrontend service(cfg);
   JobRequest doomed = small_request();
   doomed.nranks = 2;
   doomed.nsteps = 40;
@@ -565,10 +590,10 @@ TEST(CampaignService, ExhaustedRetriesFailTheJobAndItsDuplicates) {
   const int id = service.submit(doomed);
   const int dup = service.submit(doomed);
   service.wait_all();
-  const JobRecord rec = service.job(id);
+  const FrontendJob rec = service.job(id);
   EXPECT_EQ(rec.state, JobState::Failed);
   EXPECT_NE(rec.error.find("attempt"), std::string::npos) << rec.error;
-  const JobRecord drec = service.job(dup);
+  const FrontendJob drec = service.job(dup);
   EXPECT_EQ(drec.state, JobState::Failed);
   EXPECT_FALSE(service.result(id).has_value());
   EXPECT_EQ(service.stats().failed, 2u);
