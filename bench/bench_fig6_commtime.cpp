@@ -149,7 +149,7 @@ int main() {
       smpi::Exchanger ex = smpi::Exchanger::build(comm, cands);
       SimulationConfig cfg;
       cfg.dt = 0.1;  // identity runs: dt value irrelevant to traffic
-      cfg.force_colored_schedule = true;
+      cfg.schedule = SolverSchedule::Colored;
       Simulation sim(slice.mesh, b, slice.materials, cfg, &comm, &ex);
       sim.run(8);
       if (comm.rank() == 0) {

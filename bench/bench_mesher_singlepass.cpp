@@ -4,6 +4,9 @@
 // properties ...; this slowed down the mesher by a factor of two ... we
 // therefore merged these two steps (assigning properties to each mesh
 // element right after its creation)."
+//
+// Gate (exit code, run by scripts/bench.sh): at NEX=8 the legacy two-pass
+// geometry time must exceed 1.3x the merged single-pass time.
 
 #include <cstdio>
 
@@ -20,6 +23,9 @@ int main() {
   table.set_header({"NEX_XI", "elements", "merged single-pass (ms)",
                     "legacy two-pass (ms)", "slowdown", "paper"});
 
+  constexpr int kGateNex = 8;
+  constexpr double kGateRatio = 1.3;
+  double gate_ratio = 0.0;
   for (int nex : {8, 12, 16}) {
     GlobeMeshSpec spec;
     spec.nex_xi = nex;
@@ -38,6 +44,7 @@ int main() {
       GlobeSlice legacy = build_globe_slice(spec, basis, 0);
       t_legacy = std::min(t_legacy, legacy.stats.geometry_seconds);
     }
+    if (nex == kGateNex) gate_ratio = t_legacy / t_merged;
     table.add_row({std::to_string(nex), std::to_string(nspec),
                    fmt_g(1e3 * t_merged, 4), fmt_g(1e3 * t_legacy, 4),
                    fmt_g(t_legacy / t_merged, 3) + "x", "~2x"});
@@ -49,5 +56,8 @@ int main() {
       "unacceptable (§4.4); the merged mesher assigns each element's\n"
       "properties immediately after creating its geometry, exactly as\n"
       "build_globe_slice does in its default single-pass mode.\n");
-  return 0;
+  const bool ok = gate_ratio > kGateRatio;
+  std::printf("\nGate: legacy / merged at NEX=%d = %.3gx (need > %.2gx): %s\n",
+              kGateNex, gate_ratio, kGateRatio, ok ? "pass" : "FAIL");
+  return ok ? 0 : 1;
 }

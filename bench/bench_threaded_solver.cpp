@@ -1,10 +1,8 @@
-// Thread-parallel colored time stepping (ISSUE 1, schedule reworked in
-// ISSUE 4): sweep the on-node thread count on a fixed mesh and report
-// per-step time, speedup and parallel efficiency for both the plain
-// colored schedule and the locality-aware interleaved color-pair
-// schedule, plus the 1-thread schedule tax of each variant relative to
-// the legacy sequential loop, and the comm/compute overlap fraction of a
-// decomposed run.
+// Thread-parallel colored time stepping: sweep the on-node thread count
+// on a fixed mesh and report per-step time, speedup and parallel
+// efficiency of the colored schedule, its 1-thread schedule tax relative
+// to the legacy sequential loop, and the comm/compute overlap fraction of
+// a decomposed run.
 //
 // The paper runs pure MPI (one core per rank, §3); on-node threading is
 // the natural extension for multicore nodes, with the same invariant the
@@ -51,10 +49,10 @@ int run_json_mode(const std::string& path) {
                                     steps, KernelVariant::Reference);
   const double seq_bat = time_steps(setup, 1, SolverSchedule::Sequential,
                                     steps, KernelVariant::Auto);
-  const double inter_ref = time_steps(setup, 1, SolverSchedule::Interleaved,
-                                      steps, KernelVariant::Reference);
-  const double inter_bat = time_steps(setup, 1, SolverSchedule::Interleaved,
-                                      steps, KernelVariant::Auto);
+  const double col_ref = time_steps(setup, 1, SolverSchedule::Colored,
+                                    steps, KernelVariant::Reference);
+  const double col_bat = time_steps(setup, 1, SolverSchedule::Colored, steps,
+                                    KernelVariant::Auto);
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -66,19 +64,19 @@ int run_json_mode(const std::string& path) {
                "  \"per_step_ms\": {\n"
                "    \"sequential_reference\": %.6g,\n"
                "    \"sequential_batched\": %.6g,\n"
-               "    \"interleaved_reference\": %.6g,\n"
-               "    \"interleaved_batched\": %.6g\n"
+               "    \"colored_reference\": %.6g,\n"
+               "    \"colored_batched\": %.6g\n"
                "  },\n"
                "  \"batched_speedup_sequential\": %.4g,\n"
-               "  \"batched_speedup_interleaved\": %.4g\n"
+               "  \"batched_speedup_colored\": %.4g\n"
                "}\n",
                setup.globe.mesh.nspec, 1e3 * seq_ref, 1e3 * seq_bat,
-               1e3 * inter_ref, 1e3 * inter_bat, seq_ref / seq_bat,
-               inter_ref / inter_bat);
+               1e3 * col_ref, 1e3 * col_bat, seq_ref / seq_bat,
+               col_ref / col_bat);
   std::fclose(f);
   std::printf("wrote %s (batched end-to-end speedup: %.3gx sequential, "
-              "%.3gx interleaved)\n",
-              path.c_str(), seq_ref / seq_bat, inter_ref / inter_bat);
+              "%.3gx colored)\n",
+              path.c_str(), seq_ref / seq_bat, col_ref / col_bat);
   return 0;
 }
 
@@ -89,9 +87,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0) return run_json_mode(argv[i + 1]);
   bench::banner(
       "Thread-parallel colored time stepping",
-      "colored/interleaved element schedules keep seismograms bit-identical "
-      "across thread counts while the halo exchange overlaps interior "
-      "compute");
+      "the colored element schedule keeps seismograms bit-identical across "
+      "thread counts while the halo exchange overlaps interior compute");
 
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("Hardware concurrency: %u core(s)\n", hw);
@@ -104,8 +101,6 @@ int main(int argc, char** argv) {
   const double t_legacy =
       time_steps(setup, 1, SolverSchedule::Sequential, steps);
   const double t_colored1 = time_steps(setup, 1, SolverSchedule::Colored, steps);
-  const double t_inter1 =
-      time_steps(setup, 1, SolverSchedule::Interleaved, steps);
 
   AsciiTable sweep("Thread sweep (serial NEX=8 globe, per-step wall time)");
   sweep.set_header({"threads", "schedule", "ms/step", "speedup",
@@ -114,30 +109,19 @@ int main(int argc, char** argv) {
   sweep.add_row({"1", "colored", fmt_g(1e3 * t_colored1, 4),
                  fmt_g(t_legacy / t_colored1, 3),
                  fmt_g(t_legacy / t_colored1, 3)});
-  sweep.add_row({"1", "interleaved", fmt_g(1e3 * t_inter1, 4),
-                 fmt_g(t_legacy / t_inter1, 3),
-                 fmt_g(t_legacy / t_inter1, 3)});
   for (int nt : {2, 4, 8}) {
     const double tc = time_steps(setup, nt, SolverSchedule::Colored, steps);
     sweep.add_row({fmt_g(nt, 1), "colored", fmt_g(1e3 * tc, 4),
                    fmt_g(t_legacy / tc, 3), fmt_g(t_legacy / tc / nt, 3)});
-    const double ti = time_steps(setup, nt, SolverSchedule::Interleaved, steps);
-    sweep.add_row({fmt_g(nt, 1), "interleaved", fmt_g(1e3 * ti, 4),
-                   fmt_g(t_legacy / ti, 3), fmt_g(t_legacy / ti / nt, 3)});
   }
   sweep.print();
 
-  // The ISSUE 4 acceptance number: the interleaved schedule must close the
-  // gap the plain coloring opened at 1 thread (cache-hostile color-major
-  // traversal) to within ~5% of the legacy sequential loop.
-  const double colored_tax = 100.0 * (t_colored1 / t_legacy - 1.0);
-  const double inter_tax = 100.0 * (t_inter1 / t_legacy - 1.0);
-  std::printf(
-      "1-thread schedule tax vs legacy sequential:\n"
-      "  colored     %+7.2f%%  (race-free but cache-hostile ordering)\n"
-      "  interleaved %+7.2f%%  (RCM blocks + color-pair interleave)\n"
-      "  recovered gap: %.2f points (target: interleaved tax <= ~5%%)\n",
-      colored_tax, inter_tax, colored_tax - inter_tax);
+  // Within one color no two elements share a point, so the color-major
+  // traversal reuses less of the gathered/scattered data than the legacy
+  // loop; Auto therefore keeps the legacy loop at one thread.
+  std::printf("1-thread schedule tax of colored vs legacy sequential: "
+              "%+.2f%%\n",
+              100.0 * (t_colored1 / t_legacy - 1.0));
   if (hw < 8)
     std::printf(
         "NOTE: only %u core(s) available — thread counts above that are "
@@ -146,7 +130,7 @@ int main(int argc, char** argv) {
 
   // ---- comm/compute overlap on a 6-rank decomposition ----
   // smpi ranks are threads themselves, so keep the solver single-threaded
-  // (interleaved schedule, 1 slot) and measure how much of the
+  // (colored schedule, 1 slot) and measure how much of the
   // halo-exchange window the interior-element compute fills.
   GlobeMeshSpec spec;
   static PremModel prem;
@@ -167,7 +151,7 @@ int main(int argc, char** argv) {
                                   slice.materials.vs);
     SimulationConfig cfg;
     cfg.dt = 0.8 * q.dt_stable;
-    cfg.schedule = SolverSchedule::Interleaved;
+    cfg.schedule = SolverSchedule::Colored;
     Simulation sim(slice.mesh, b, slice.materials, cfg, &comm, &ex);
     sim.run(12);
     if (comm.rank() == 0) {

@@ -6,9 +6,9 @@
 #  * ThreadSanitizer over the concurrency-heavy tests (build-tsan/),
 #  * a gcov coverage build (build-cov/) that reruns the tier-1 suite and
 #    asserts line-coverage floors for src/mesh/, src/runtime/, src/perf/,
-#    src/kernels/, src/io/ and src/service/ — the directories the
-#    schedule/exchange, durability and campaign correctness arguments
-#    live in.
+#    src/kernels/, src/io/, src/service/ and src/solver/ — the
+#    directories the schedule/exchange, marching, durability and campaign
+#    correctness arguments live in.
 #
 # Usage: scripts/check.sh [--no-tsan] [--no-asan] [--no-coverage]
 set -euo pipefail
@@ -71,13 +71,14 @@ fi
 if [[ "${RUN_COV}" == "1" ]]; then
   # Line-coverage floors (percent) asserted over the .cpp files of each
   # directory. Measured at introduction: mesh 98.1%, runtime 99.4%,
-  # kernels 95.7%, io 95.1%, service 96.7%.
+  # kernels 95.7%, io 95.1%, service 96.7%, solver 91.8%.
   COV_FLOOR_MESH=90
   COV_FLOOR_RUNTIME=90
   COV_FLOOR_PERF=90
   COV_FLOOR_KERNELS=90
   COV_FLOOR_IO=90
   COV_FLOOR_SERVICE=95
+  COV_FLOOR_SOLVER=90
 
   echo "==> configure + build coverage config (build-cov/)"
   cmake -B build-cov -S . -DSFG_COVERAGE=ON >/dev/null
@@ -97,7 +98,8 @@ if [[ "${RUN_COV}" == "1" ]]; then
           -v floor_perf="${COV_FLOOR_PERF}" \
           -v floor_kernels="${COV_FLOOR_KERNELS}" \
           -v floor_io="${COV_FLOOR_IO}" \
-          -v floor_service="${COV_FLOOR_SERVICE}" '
+          -v floor_service="${COV_FLOOR_SERVICE}" \
+          -v floor_solver="${COV_FLOOR_SOLVER}" '
       /^File /  { f = $2; gsub(/\x27/, "", f) }
       /^Lines executed:/ {
         # gcov ends with a grand-total "Lines executed" line that has no
@@ -109,26 +111,30 @@ if [[ "${RUN_COV}" == "1" ]]; then
         if (f ~ /src\/kernels\/.*\.cpp$/) { ke += pct * n / 100; kt += n }
         if (f ~ /src\/io\/.*\.cpp$/)      { ie += pct * n / 100; it += n }
         if (f ~ /src\/service\/.*\.cpp$/) { se += pct * n / 100; st += n }
+        if (f ~ /src\/solver\/.*\.cpp$/)  { ve += pct * n / 100; vt += n }
         f = ""
       }
       END {
         mp = mt ? 100 * me / mt : 0; rp = rt ? 100 * re / rt : 0;
         pp = pt ? 100 * pe / pt : 0; kp = kt ? 100 * ke / kt : 0;
         ip = it ? 100 * ie / it : 0; sp = st ? 100 * se / st : 0;
+        vp = vt ? 100 * ve / vt : 0;
         printf "    src/mesh    : %5.1f%% of %d lines (floor %d%%)\n", mp, mt, floor_mesh;
         printf "    src/runtime : %5.1f%% of %d lines (floor %d%%)\n", rp, rt, floor_runtime;
         printf "    src/perf    : %5.1f%% of %d lines (floor %d%%)\n", pp, pt, floor_perf;
         printf "    src/kernels : %5.1f%% of %d lines (floor %d%%)\n", kp, kt, floor_kernels;
         printf "    src/io      : %5.1f%% of %d lines (floor %d%%)\n", ip, it, floor_io;
         printf "    src/service : %5.1f%% of %d lines (floor %d%%)\n", sp, st, floor_service;
+        printf "    src/solver  : %5.1f%% of %d lines (floor %d%%)\n", vp, vt, floor_solver;
         fail = 0;
-        if (mt == 0 || rt == 0 || pt == 0 || kt == 0 || it == 0 || st == 0) { print "FAIL: no coverage data found"; fail = 1 }
+        if (mt == 0 || rt == 0 || pt == 0 || kt == 0 || it == 0 || st == 0 || vt == 0) { print "FAIL: no coverage data found"; fail = 1 }
         if (mp < floor_mesh)    { printf "FAIL: src/mesh line coverage %.1f%% below floor %d%%\n", mp, floor_mesh; fail = 1 }
         if (rp < floor_runtime) { printf "FAIL: src/runtime line coverage %.1f%% below floor %d%%\n", rp, floor_runtime; fail = 1 }
         if (pp < floor_perf)    { printf "FAIL: src/perf line coverage %.1f%% below floor %d%%\n", pp, floor_perf; fail = 1 }
         if (kp < floor_kernels) { printf "FAIL: src/kernels line coverage %.1f%% below floor %d%%\n", kp, floor_kernels; fail = 1 }
         if (ip < floor_io)      { printf "FAIL: src/io line coverage %.1f%% below floor %d%%\n", ip, floor_io; fail = 1 }
         if (sp < floor_service) { printf "FAIL: src/service line coverage %.1f%% below floor %d%%\n", sp, floor_service; fail = 1 }
+        if (vp < floor_solver)  { printf "FAIL: src/solver line coverage %.1f%% below floor %d%%\n", vp, floor_solver; fail = 1 }
         exit fail;
       }'
 fi

@@ -49,8 +49,8 @@ class ThreadPool {
   };
   /// One round of a schedule: units that may run CONCURRENTLY. The
   /// schedule builder is responsible for proving their footprints
-  /// disjoint. `tag` is opaque to the pool (the solver uses it to
-  /// distinguish paired / residual / plain rounds for phase timing).
+  /// disjoint. `tag` is opaque to the pool and handed back to the round
+  /// observer.
   struct WorkRound {
     std::vector<WorkUnit> units;
     int tag = 0;

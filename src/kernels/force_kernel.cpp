@@ -1,8 +1,5 @@
 #include "kernels/force_kernel.hpp"
 
-#include <cstring>
-#include <string>
-
 #include "common/check.hpp"
 
 namespace sfg {
@@ -49,48 +46,9 @@ BatchWorkspace::BatchWorkspace(int ngll_in, int lanes_in)
   for (auto& e : epsdev) e.assign(stride, 0.0f);
 }
 
-KernelChoice resolve_kernel_choice(KernelVariant requested, int ngll,
-                                   const char* override_spec) {
+KernelChoice resolve_kernel_choice(KernelVariant requested, int ngll) {
   KernelChoice c;
   c.variant = requested;
-  // The override spec (SFG_KERNEL) wins over the requested variant.
-  std::string spec = override_spec != nullptr ? override_spec : "";
-  if (!spec.empty()) {
-    if (spec == "reference") {
-      c.variant = KernelVariant::Reference;
-    } else if (spec == "blas") {
-      c.variant = KernelVariant::BlasLike;
-    } else if (spec == "sse") {
-      c.variant = KernelVariant::Sse;
-    } else if (spec == "auto") {
-      c.variant = KernelVariant::Auto;
-    } else if (spec == "batched") {
-      c.variant = KernelVariant::Batched;
-    } else if (spec.rfind("batched-", 0) == 0) {
-      c.variant = KernelVariant::Batched;
-      const std::string back = spec.substr(8);
-      if (back == "scalar") c.isa = simd::Isa::Scalar;
-      else if (back == "sse") c.isa = simd::Isa::Sse;
-      else if (back == "avx2") c.isa = simd::Isa::Avx2;
-      else if (back == "avx512") c.isa = simd::Isa::Avx512;
-      else if (back == "neon") c.isa = simd::Isa::Neon;
-      else
-        SFG_CHECK_MSG(false, "unknown batched backend '" << back
-                             << "' in kernel spec '" << spec << "'");
-      SFG_CHECK_MSG(batched_backend_compiled(c.isa),
-                    "batched backend '" << back
-                    << "' is not compiled into this binary");
-      SFG_CHECK_MSG(simd::cpu_supports(c.isa),
-                    "this CPU cannot execute the '" << back
-                    << "' batched backend");
-      c.lanes = simd::isa_width(c.isa);
-      return c;
-    } else {
-      SFG_CHECK_MSG(false, "unknown kernel spec '" << spec
-                           << "' (reference|blas|sse|batched|auto|"
-                              "batched-<isa>)");
-    }
-  }
   if (c.variant == KernelVariant::Auto ||
       c.variant == KernelVariant::Batched) {
     c.variant = KernelVariant::Batched;

@@ -80,16 +80,9 @@ struct KernelChoice {
 };
 
 /// Resolve a requested variant (possibly Auto) to a concrete choice.
-/// `override_spec` is the SFG_KERNEL-style A/B-debugging override and
-/// wins over `requested` when non-null/non-empty:
-///   reference | blas | sse | batched | auto |
-///   batched-scalar | batched-sse | batched-avx2 | batched-avx512 |
-///   batched-neon
-/// Auto (and plain "batched") picks best_batched_isa(). Throws CheckError
-/// on an unknown spec or a backend the host cannot run; Sse additionally
-/// requires ngll == 5.
-KernelChoice resolve_kernel_choice(KernelVariant requested, int ngll,
-                                   const char* override_spec = nullptr);
+/// Auto and Batched pick best_batched_isa(). Throws CheckError when Sse
+/// is requested with ngll != 5.
+KernelChoice resolve_kernel_choice(KernelVariant requested, int ngll);
 
 /// Per-element input pointers: inverse-mapping tables, Jacobian and
 /// isotropic moduli, each an array of ngll^3 values for one element.
@@ -222,8 +215,7 @@ struct BatchWorkspace {
 class ForceKernel {
  public:
   /// `variant` may be Auto (or Batched): it is resolved through
-  /// resolve_kernel_choice (no env override at this level — the solver
-  /// applies SFG_KERNEL before constructing the kernel).
+  /// resolve_kernel_choice.
   ForceKernel(const GllBasis& basis, KernelVariant variant,
               bool attenuation = false);
   /// Explicit backend selection (tests, A/B benches).

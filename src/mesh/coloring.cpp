@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <sstream>
-#include <utility>
 
 namespace sfg {
 
@@ -64,18 +62,17 @@ std::vector<std::vector<int>> color_batches(const std::vector<int>& elements,
 
 namespace {
 
-/// Marker for upper-color elements with no lower-color neighbour in their
-/// pair: emitted at the end of their unit (they reuse nothing anyway).
-constexpr std::size_t kNoAnchor = std::numeric_limits<std::size_t>::max();
+/// Marker for a global point no batch or round has visited yet.
+constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
-/// Append `batch` split into num_slots balanced contiguous units.
-void emit_plain_round(const std::vector<int>& batch, int tag, int num_slots,
-                      ElementSchedule& out) {
+/// Append `batch` as one round split into num_slots balanced contiguous
+/// units.
+void emit_round(const std::vector<int>& batch, int num_slots,
+                ElementSchedule& out) {
   if (batch.empty()) return;
   const std::size_t base = out.items.size();
   out.items.insert(out.items.end(), batch.begin(), batch.end());
   ThreadPool::WorkRound round;
-  round.tag = tag;
   const std::size_t n = batch.size();
   const std::size_t chunk =
       (n + static_cast<std::size_t>(num_slots) - 1) /
@@ -88,133 +85,35 @@ void emit_plain_round(const std::vector<int>& batch, int tag, int num_slots,
   out.work.rounds.push_back(std::move(round));
 }
 
-/// Single-slot locality order: the closest order to the proximity (RCM)
-/// traversal that still sums every global point in ascending color order.
-/// The per-point constraint is a DAG (edges go from lower to upper color);
-/// Kahn's algorithm with a min-heap keyed by proximity rank emits, at
-/// every step, the most proximity-local element whose lower-color
-/// point-sharing neighbours are all done. One round, one unit — with a
-/// single consumer there is nothing to keep disjoint, only the per-point
-/// color order to respect.
-void emit_greedy_proximity_order(const HexMesh& mesh,
-                                 const std::vector<std::vector<int>>& batches,
-                                 const ScheduleOptions& opts,
-                                 ElementSchedule& out) {
-  std::size_t nsub = 0;
-  for (const auto& b : batches) nsub += b.size();
-
-  // Local ids in ascending-color order; priority = proximity rank (or the
-  // flattened batch order when no rank is supplied, preserving today's
-  // within-color sort).
-  std::vector<int> elem_of(nsub);
-  std::vector<std::size_t> prio(nsub);
-  {
-    std::size_t id = 0;
-    for (const auto& b : batches)
-      for (int e : b) {
-        elem_of[id] = e;
-        prio[id] = opts.proximity_rank.empty()
-                       ? id
-                       : opts.proximity_rank[static_cast<std::size_t>(e)];
-        ++id;
-      }
-  }
-
-  // Chain edges per global point: consecutive touchers in color order.
-  // Chains are enough — transitivity gives the full per-point order.
-  const int n3 = mesh.ngll3();
-  std::vector<std::size_t> prev(static_cast<std::size_t>(mesh.nglob),
-                                kNoAnchor);
-  std::vector<std::pair<std::size_t, std::size_t>> edges;
-  for (std::size_t id = 0; id < nsub; ++id) {
-    const int* ib = mesh.ibool.data() + mesh.local_offset(elem_of[id]);
-    for (int p = 0; p < n3; ++p) {
-      const auto g = static_cast<std::size_t>(ib[p]);
-      if (prev[g] != kNoAnchor && prev[g] != id)
-        edges.push_back({prev[g], id});
-      prev[g] = id;
-    }
-  }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-  std::vector<std::vector<std::size_t>> succ(nsub);
-  std::vector<std::size_t> indeg(nsub, 0);
-  for (const auto& [a, b] : edges) {
-    succ[a].push_back(b);
-    ++indeg[b];
-  }
-
-  using Key = std::pair<std::size_t, std::size_t>;  // (priority, id)
-  std::priority_queue<Key, std::vector<Key>, std::greater<Key>> ready;
-  for (std::size_t id = 0; id < nsub; ++id)
-    if (indeg[id] == 0) ready.push({prio[id], id});
-
-  const std::size_t base = out.items.size();
-  while (!ready.empty()) {
-    const std::size_t id = ready.top().second;
-    ready.pop();
-    out.items.push_back(elem_of[id]);
-    for (std::size_t s : succ[id])
-      if (--indeg[s] == 0) ready.push({prio[s], s});
-  }
-  SFG_CHECK_MSG(out.items.size() - base == nsub,
-                "constraint graph has a cycle — coloring is not a proper "
-                "point-adjacency coloring");
-
-  ThreadPool::WorkRound round;
-  round.tag = kSchedRoundPaired;
-  round.units.push_back({base, out.items.size()});
-  out.work.rounds.push_back(std::move(round));
-}
-
-/// Batch-formation post-pass (ISSUE 6): group each work unit's items into
+/// Batch-formation post-pass: cut each work unit's items into
 /// contiguous same-color runs of at most batch_lanes elements, recording
-/// the cuts. Only permutes items WITHIN a unit (stable sort by color), so
-/// invariants 1 and 2 are untouched, and the within-unit order stays
-/// ascending in color — invariant 3 holds batch-wise exactly as it did
-/// element-wise. Same-color lanes share no GLL point by the coloring
-/// property, which is batch invariant B (disjoint lane footprints).
+/// the cuts. Items never move, so invariants 1-3 are untouched. Same-color
+/// lanes share no GLL point by the coloring property, which is batch
+/// invariant B (disjoint lane footprints).
 void form_batches(const std::vector<int>& color_of,
                   const ScheduleOptions& opts, ElementSchedule& out) {
   out.batch_lanes = opts.batch_lanes;
   out.batch_cut.clear();
   if (opts.batch_lanes <= 1) return;
   const auto lanes = static_cast<std::size_t>(opts.batch_lanes);
-
-  // Units tile the item list; walk them in item order.
-  std::vector<ThreadPool::WorkUnit> units;
-  for (const auto& round : out.work.rounds)
-    for (const ThreadPool::WorkUnit& u : round.units)
-      if (u.begin < u.end) units.push_back(u);
-  std::sort(units.begin(), units.end(),
-            [](const ThreadPool::WorkUnit& a, const ThreadPool::WorkUnit& b) {
-              return a.begin < b.begin;
-            });
-
   auto color = [&](std::size_t i) {
     return color_of[static_cast<std::size_t>(out.items[i])];
   };
+  // Units were emitted in item order, so walking them tiles the list.
   out.batch_cut.push_back(0);
-  for (const ThreadPool::WorkUnit& u : units) {
-    std::stable_sort(
-        out.items.begin() + static_cast<std::ptrdiff_t>(u.begin),
-        out.items.begin() + static_cast<std::ptrdiff_t>(u.end),
-        [&](int x, int y) {
-          return color_of[static_cast<std::size_t>(x)] <
-                 color_of[static_cast<std::size_t>(y)];
-        });
-    std::size_t start = u.begin;
-    for (std::size_t i = u.begin; i < u.end; ++i) {
-      const bool full = i + 1 - start == lanes;
-      const bool color_break = i + 1 < u.end && color(i + 1) != color(i) &&
-                               !opts.unsafe_batch_across_colors;
-      if (i + 1 == u.end || full || color_break) {
-        out.batch_cut.push_back(i + 1);
-        start = i + 1;
+  for (const auto& round : out.work.rounds)
+    for (const ThreadPool::WorkUnit& u : round.units) {
+      std::size_t start = u.begin;
+      for (std::size_t i = u.begin; i < u.end; ++i) {
+        const bool full = i + 1 - start == lanes;
+        const bool color_break = i + 1 < u.end && color(i + 1) != color(i) &&
+                                 !opts.unsafe_batch_across_colors;
+        if (i + 1 == u.end || full || color_break) {
+          out.batch_cut.push_back(i + 1);
+          start = i + 1;
+        }
       }
     }
-  }
 }
 
 }  // namespace
@@ -225,22 +124,17 @@ ElementSchedule build_element_schedule(const HexMesh& mesh,
                                        const ScheduleOptions& opts) {
   SFG_CHECK(mesh.numbered());
   SFG_CHECK_MSG(opts.num_slots >= 1, "schedule needs at least one slot");
-  SFG_CHECK_MSG(opts.block_size >= 1, "block_size must be positive");
   SFG_CHECK_MSG(opts.batch_lanes >= 1, "batch_lanes must be positive");
   ElementSchedule out;
   out.num_slots = opts.num_slots;
-  if (elements.empty()) {
-    form_batches(color_of, opts, out);
-    return out;
-  }
   out.items.reserve(elements.size());
 
   std::vector<std::vector<int>> batches = color_batches(elements, color_of);
 
-  // (a) within-color RCM proximity order: restores the §4.2 cache
-  // blocking that coloring destroyed. Per-point summation order does not
-  // depend on within-color order (one contribution per color per point),
-  // so this is bit-neutral.
+  // Within-color RCM proximity order: restores the §4.2 cache blocking
+  // that coloring destroyed. Per-point summation order does not depend on
+  // within-color order (one contribution per color per point), so this is
+  // bit-neutral.
   if (!opts.proximity_rank.empty()) {
     SFG_CHECK(opts.proximity_rank.size() ==
               static_cast<std::size_t>(mesh.nspec));
@@ -251,144 +145,18 @@ ElementSchedule build_element_schedule(const HexMesh& mesh,
       });
   }
 
-  if (!opts.interleave_pairs) {
-    for (const auto& b : batches)
-      emit_plain_round(b, kSchedRoundPlain, opts.num_slots, out);
-    form_batches(color_of, opts, out);
-    return out;
-  }
-
-  // (b) one slot: no concurrency to protect, so the pair construction
-  // below would only limit locality. Emit the globally best order instead
-  // — greedy proximity under the per-point ascending-color constraint.
   if (opts.num_slots == 1) {
-    emit_greedy_proximity_order(mesh, batches, opts, out);
-    form_batches(color_of, opts, out);
-    return out;
-  }
-
-  // (c) interleaved color pairs. Point ownership within the lower color
-  // is single-valued (no two same-color elements share a point), so one
-  // stamped array resolves every upper-color element's footprint.
-  const int n3 = mesh.ngll3();
-  const int slots = opts.num_slots;
-  std::vector<std::size_t> owner_pos(static_cast<std::size_t>(mesh.nglob));
-  std::vector<int> owner_stamp(static_cast<std::size_t>(mesh.nglob), -1);
-
-  for (std::size_t pair = 0; pair < batches.size(); pair += 2) {
-    const std::vector<int>& lower = batches[pair];
-    if (pair + 1 >= batches.size()) {
-      // Odd tail: no partner color to interleave with.
-      emit_plain_round(lower, kSchedRoundPlain, slots, out);
-      break;
+    // One consumer: nothing to keep disjoint, so one unit carries every
+    // color in ascending order (invariant 3) with no barrier between them.
+    for (const auto& b : batches)
+      out.items.insert(out.items.end(), b.begin(), b.end());
+    if (!out.items.empty()) {
+      ThreadPool::WorkRound round;
+      round.units.push_back({0, out.items.size()});
+      out.work.rounds.push_back(std::move(round));
     }
-    const std::vector<int>& upper = batches[pair + 1];
-    const std::size_t nl = lower.size();
-
-    // Slot cuts of the lower color: balanced, aligned to block_size
-    // multiples when the rounding stays monotone (cache blocks survive
-    // whole inside one unit).
-    std::vector<std::size_t> cut(static_cast<std::size_t>(slots) + 1, 0);
-    cut[static_cast<std::size_t>(slots)] = nl;
-    const auto bs = static_cast<std::size_t>(opts.block_size);
-    for (int s = 1; s < slots; ++s) {
-      const std::size_t ideal =
-          nl * static_cast<std::size_t>(s) / static_cast<std::size_t>(slots);
-      std::size_t aligned = (ideal + bs / 2) / bs * bs;
-      aligned = std::min(aligned, nl);
-      cut[static_cast<std::size_t>(s)] =
-          std::max(aligned, cut[static_cast<std::size_t>(s) - 1]);
-    }
-    auto slot_of_pos = [&](std::size_t pos) {
-      int s = 0;
-      while (pos >= cut[static_cast<std::size_t>(s) + 1]) ++s;
-      return s;
-    };
-
-    const int stamp = static_cast<int>(pair);
-    for (std::size_t i = 0; i < nl; ++i) {
-      const int* ib = mesh.ibool.data() + mesh.local_offset(lower[i]);
-      for (int p = 0; p < n3; ++p) {
-        const auto g = static_cast<std::size_t>(ib[p]);
-        owner_pos[g] = i;
-        owner_stamp[g] = stamp;
-      }
-    }
-
-    // Classify the upper color: (anchor position, element) per slot, or
-    // residual when the footprint straddles slots.
-    std::vector<std::vector<std::pair<std::size_t, int>>> per_slot(
-        static_cast<std::size_t>(slots));
-    std::vector<int> residual;
-    std::vector<std::size_t> load(static_cast<std::size_t>(slots));
-    for (int s = 0; s < slots; ++s)
-      load[static_cast<std::size_t>(s)] =
-          cut[static_cast<std::size_t>(s) + 1] -
-          cut[static_cast<std::size_t>(s)];
-    for (int e : upper) {
-      const int* ib = mesh.ibool.data() + mesh.local_offset(e);
-      int found_slot = -1;
-      std::size_t anchor = kNoAnchor;
-      bool straddles = false;
-      for (int p = 0; p < n3; ++p) {
-        const auto g = static_cast<std::size_t>(ib[p]);
-        if (owner_stamp[g] != stamp) continue;
-        const std::size_t pos = owner_pos[g];
-        const int s = slot_of_pos(pos);
-        if (found_slot < 0) {
-          found_slot = s;
-          anchor = pos;
-        } else if (s != found_slot) {
-          straddles = true;
-          if (!opts.unsafe_skip_straddler_demotion) break;
-        } else if (anchor == kNoAnchor || pos > anchor) {
-          anchor = pos;
-        }
-      }
-      if (straddles && !opts.unsafe_skip_straddler_demotion) {
-        residual.push_back(e);
-        continue;
-      }
-      if (found_slot < 0) {
-        // No lower-color neighbour at all: free to go anywhere; pick the
-        // lightest slot (lowest index on ties) for balance.
-        found_slot = 0;
-        for (int s = 1; s < slots; ++s)
-          if (load[static_cast<std::size_t>(s)] <
-              load[static_cast<std::size_t>(found_slot)])
-            found_slot = s;
-      }
-      per_slot[static_cast<std::size_t>(found_slot)].push_back({anchor, e});
-      ++load[static_cast<std::size_t>(found_slot)];
-    }
-
-    // Emit the pair round: per slot, merge the lower-color block with its
-    // upper-color dependents, each placed right after the LAST lower
-    // neighbour it touches — maximal reuse, and the c-before-c+1 per-point
-    // order that keeps the schedule bit-identical to plain batches.
-    ThreadPool::WorkRound round;
-    round.tag = kSchedRoundPaired;
-    for (int s = 0; s < slots; ++s) {
-      auto& dep = per_slot[static_cast<std::size_t>(s)];
-      std::stable_sort(dep.begin(), dep.end(),
-                       [](const auto& x, const auto& y) {
-                         return x.first < y.first;
-                       });
-      const std::size_t ub = out.items.size();
-      std::size_t d = 0;
-      for (std::size_t i = cut[static_cast<std::size_t>(s)];
-           i < cut[static_cast<std::size_t>(s) + 1]; ++i) {
-        out.items.push_back(lower[i]);
-        while (d < dep.size() && dep[d].first == i)
-          out.items.push_back(dep[d++].second);
-      }
-      while (d < dep.size()) out.items.push_back(dep[d++].second);
-      round.units.push_back({ub, out.items.size()});
-    }
-    out.work.rounds.push_back(std::move(round));
-
-    out.residual_elements += static_cast<int>(residual.size());
-    emit_plain_round(residual, kSchedRoundResidual, slots, out);
+  } else {
+    for (const auto& b : batches) emit_round(b, opts.num_slots, out);
   }
   form_batches(color_of, opts, out);
   return out;
@@ -471,7 +239,7 @@ std::string check_element_schedule(const HexMesh& mesh,
                  const ThreadPool::WorkUnit& b) { return a.begin < b.begin; });
     const int n3b = mesh.ngll3();
     std::vector<std::size_t> pt_batch(static_cast<std::size_t>(mesh.nglob),
-                                      kNoAnchor);
+                                      kNone);
     std::vector<int> pt_elem(static_cast<std::size_t>(mesh.nglob), -1);
     std::size_t unit_at = 0;
     for (std::size_t b = 0; b + 1 < cut.size(); ++b) {
@@ -527,7 +295,7 @@ std::string check_element_schedule(const HexMesh& mesh,
   // invariant 2: at most one unit per round touches a point).
   const int n3 = mesh.ngll3();
   const auto ng = static_cast<std::size_t>(mesh.nglob);
-  std::vector<std::size_t> pt_round(ng, kNoAnchor);
+  std::vector<std::size_t> pt_round(ng, kNone);
   std::vector<std::size_t> pt_unit(ng, 0);
   std::vector<int> last_color(ng, -1);
   for (std::size_t r = 0; r < schedule.work.rounds.size(); ++r) {
@@ -549,8 +317,8 @@ std::string check_element_schedule(const HexMesh& mesh,
           if (c <= last_color[g]) {
             err << "global point " << g << ": color " << c << " of element "
                 << e << " scheduled after color " << last_color[g]
-                << " — per-point summation order diverges from plain "
-                   "color batches";
+                << " — per-point summation order is not ascending in "
+                   "color";
             return err.str();
           }
           last_color[g] = c;

@@ -44,26 +44,13 @@ std::vector<std::vector<int>> color_batches(const std::vector<int>& elements,
 bool coloring_is_valid(const HexMesh& mesh,
                        const std::vector<int>& color_of);
 
-// ---- locality-aware threaded schedule (second-level pass, ISSUE 4) ----
+// ---- threaded element schedule ----
 //
-// Plain color batches are race-free but cache-hostile: within one color no
-// two elements share a GLL point, so consecutive elements reuse nothing of
-// the freshly gathered/scattered global values (~25% single-thread penalty
-// recorded for PR 1). The second-level pass rebuilds the schedule as
-// INTERLEAVED COLOR PAIRS: elements of color c are cut into per-slot
-// cache blocks ordered by RCM proximity, and each element of color c+1
-// whose point-sharing neighbours all fall inside one block is placed in
-// that block's work unit RIGHT AFTER its neighbours — it reuses their
-// just-scattered points while the unit stays sequential. Elements of
-// color c+1 whose neighbours straddle two blocks are demoted to a
-// RESIDUAL round that runs after the pair round's barrier.
-//
-// With a SINGLE slot (num_slots == 1) there is no concurrency to protect,
-// so the pass instead emits the globally best order: a greedy proximity
-// traversal (Kahn's algorithm over the per-point lower-color-first
-// constraint DAG, min-heap keyed by RCM rank) — the closest order to the
-// legacy sequential RCM traversal that still satisfies invariant 3 below,
-// i.e. that stays bit-identical with every threaded run.
+// Color rounds: one round per color, ascending, each split into num_slots
+// contiguous work units; within a color, elements follow the proximity
+// rank (the §4.2 cache blocking). With a SINGLE slot there is no
+// concurrency to protect, so every color goes into one unit of one round,
+// colors still ascending.
 //
 // Invariants, proven at build time and re-checkable with
 // check_element_schedule:
@@ -71,48 +58,28 @@ bool coloring_is_valid(const HexMesh& mesh,
 //  2. work units of one round have pairwise-disjoint GLL point
 //     footprints (concurrent execution is race-free without atomics);
 //  3. at every global point, scheduled contributions arrive in strictly
-//     ascending color order — the same per-point summation order as the
-//     plain color batches, which is what makes every schedule variant and
-//     every slot/thread count BIT-IDENTICAL to the others.
-
-/// Round tags stored in ThreadPool::WorkRound::tag.
-enum ScheduleRoundTag : int {
-  kSchedRoundPlain = 0,     ///< single color (odd tail / plain mode)
-  kSchedRoundPaired = 1,    ///< interleaved color pair
-  kSchedRoundResidual = 2,  ///< demoted straddlers of the upper color
-};
+//     ascending color order — one per-point summation order for every
+//     slot/thread count, which is what makes them BIT-IDENTICAL.
 
 struct ScheduleOptions {
   /// Concurrent work-unit slots per round. Usually the thread count;
   /// results are bit-identical across slot counts (invariant 3).
   int num_slots = 1;
-  /// Interleave color pairs (the locality pass). false = plain batches
-  /// expressed as a schedule (one color per round, contiguous splits).
-  bool interleave_pairs = true;
-  /// Cache-block granularity: slot cuts of the lower color land on
-  /// multiples of this many elements when balance allows (the §4.2
-  /// multilevel blocks; 50-100 elements fit L2).
-  int block_size = 64;
   /// Optional proximity ranking (size nspec): elements within one color
   /// are ordered by ascending rank (pass an RCM position to restore §4.2
   /// locality inside colors). Empty keeps the input order.
   std::vector<int> proximity_rank;
-  /// TEST ONLY: skip the straddler demotion, assigning every upper-color
-  /// element to the block of its first neighbour even when its footprint
-  /// spans several blocks. This deliberately VIOLATES invariant 2; the
-  /// property harness uses it to prove the checker catches a broken
-  /// builder. Never set in production code.
-  bool unsafe_skip_straddler_demotion = false;
   /// SIMD batch width for the Batched kernel variant (ISSUE 6): when > 1,
   /// a post-pass groups each work unit's items into contiguous batches of
   /// at most this many same-color elements (batch invariant B below) and
   /// records the cuts in ElementSchedule::batch_cut. 1 = no batching.
   int batch_lanes = 1;
-  /// TEST ONLY: let a batch run across a color boundary inside a unit.
-  /// Point-sharing neighbours always carry different colors, so this
-  /// deliberately VIOLATES batch invariant B (disjoint lane footprints);
-  /// the property harness uses it to prove check_element_schedule rejects
-  /// a straddling batch. Never set in production code.
+  /// TEST ONLY: let a batch run across a color boundary inside a unit
+  /// (only a one-slot unit spans several colors). Point-sharing
+  /// neighbours always carry different colors, so this deliberately
+  /// VIOLATES batch invariant B (disjoint lane footprints); the property
+  /// harness uses it to prove check_element_schedule rejects a straddling
+  /// batch. Never set in production code.
   bool unsafe_batch_across_colors = false;
 };
 
@@ -123,22 +90,20 @@ struct ElementSchedule {
   std::vector<int> items;          ///< flattened element ids
   ThreadPool::WorkSchedule work;   ///< rounds of per-slot ranges in items
   int num_slots = 0;
-  int residual_elements = 0;       ///< demoted to residual rounds
   /// SIMD element batches (filled when ScheduleOptions::batch_lanes > 1):
   /// batch b is items[batch_cut[b], batch_cut[b+1]), never larger than
   /// batch_lanes, never crossing a work-unit boundary, and — batch
   /// invariant B — all lanes share one color, so by the coloring property
   /// their GLL point footprints are pairwise disjoint and the lanes can be
   /// packed/scattered as one SoA block. Invariants 1-3 are untouched: the
-  /// batch pass only permutes items WITHIN a unit (stable color grouping),
-  /// which preserves the per-point ascending-color order.
+  /// batch pass only cuts units, it never moves an item.
   std::vector<std::size_t> batch_cut;
   int batch_lanes = 1;
   bool empty() const { return items.empty(); }
 };
 
-/// Build the locality-aware schedule for `elements` (any subset of the
-/// mesh, in processing order) under a coloring of the whole mesh.
+/// Build the color-round schedule for `elements` (any subset of the mesh,
+/// in processing order) under a coloring of the whole mesh.
 ElementSchedule build_element_schedule(const HexMesh& mesh,
                                        const std::vector<int>& elements,
                                        const std::vector<int>& color_of,
@@ -162,8 +127,8 @@ std::string check_element_schedule(const HexMesh& mesh,
 // clusters from the per-element stable-dt estimate; cluster k marches at
 // `2^k * dt_min`, so a fast crustal region no longer pins the whole mesh
 // to its Courant bound. A cluster round is just another schedule level:
-// within each round the existing color/interleave/batch machinery runs
-// unchanged, one ElementSchedule per marching rate.
+// within each round the existing color/batch machinery runs unchanged,
+// one ElementSchedule per marching rate.
 //
 // Vocabulary:
 //  * LEVEL of an element: floor(log2(dt_e / dt_min)), clamped to
@@ -283,10 +248,9 @@ struct ClusterSchedule {
   bool empty() const { return rates.empty(); }
 };
 
-/// Bucket `elements` by marching rate and build one locality-aware
-/// ElementSchedule per bucket (same opts as build_element_schedule — the
-/// color/interleave/batch machinery runs unchanged within each cluster
-/// round).
+/// Bucket `elements` by marching rate and build one ElementSchedule per
+/// bucket (same opts as build_element_schedule — the color/batch
+/// machinery runs unchanged within each cluster round).
 ClusterSchedule build_cluster_schedule(const HexMesh& mesh,
                                        const std::vector<int>& elements,
                                        const std::vector<int>& color_of,

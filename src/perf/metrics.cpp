@@ -60,8 +60,7 @@ const char* phase_name(Phase p) {
     case Phase::NewmarkCorrector: return "newmark_corrector";
     case Phase::SeismogramRecord: return "seismogram_record";
     case Phase::AttenuationUpdate: return "attenuation_update";
-    case Phase::SchedulePaired: return "schedule_paired";
-    case Phase::ScheduleResidual: return "schedule_residual";
+    case Phase::ScheduleRound: return "schedule_round";
     case Phase::LtsInterpolate: return "lts_interpolate";
     case Phase::Count: break;
   }
@@ -73,8 +72,8 @@ bool phase_is_nested(Phase p) {
   // solid loops; schedule rounds inside SolidBoundary/SolidInterior/
   // FluidForces; LTS interpolation inside NewmarkPredictor) and are
   // excluded from the wall-time-sum invariant.
-  return p == Phase::AttenuationUpdate || p == Phase::SchedulePaired ||
-         p == Phase::ScheduleResidual || p == Phase::LtsInterpolate;
+  return p == Phase::AttenuationUpdate || p == Phase::ScheduleRound ||
+         p == Phase::LtsInterpolate;
 }
 
 // ---- StepProfile ----

@@ -136,8 +136,7 @@ enum class Phase : int {
   NewmarkCorrector,      ///< velocity corrector half-steps
   SeismogramRecord,      ///< receiver interpolation + append
   AttenuationUpdate,     ///< NESTED: SLS memory-variable update
-  SchedulePaired,        ///< NESTED: interleaved paired/plain rounds
-  ScheduleResidual,      ///< NESTED: demoted-straddler residual rounds
+  ScheduleRound,         ///< NESTED: one color-schedule round
   LtsInterpolate,        ///< NESTED: cluster-interface time interpolation
   Count
 };

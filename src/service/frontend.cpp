@@ -48,6 +48,9 @@ std::string json_double(double v) {
 const std::vector<double> kLatencyBuckets = {0.001, 0.01, 0.1, 1.0,
                                              10.0, 60.0};
 
+const char* const kNoLiveShardError =
+    "every shard is halted: no worker is left to run the job";
+
 }  // namespace
 
 // ---- shard queue set ----
@@ -57,7 +60,8 @@ ShardQueueSet::ShardQueueSet(int nshards, std::size_t capacity)
       capacity_(capacity),
       queues_(static_cast<std::size_t>(nshards)),
       peaks_(static_cast<std::size_t>(nshards), 0),
-      halted_(static_cast<std::size_t>(nshards), false) {
+      halted_(static_cast<std::size_t>(nshards), false),
+      live_shards_(nshards) {
   SFG_CHECK_MSG(nshards >= 1, "queue set needs at least one shard");
   SFG_CHECK_MSG(capacity >= 1, "shard queues need capacity >= 1");
 }
@@ -92,7 +96,8 @@ int ShardQueueSet::submit(int home, QueueEntry entry) {
   SFG_CHECK_MSG(home >= 0 && home < nshards_, "bad home shard " << home);
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    if (closed_) return -1;
+    if (closed_) return kClosed;
+    if (live_shards_ == 0) return kNoLiveShard;
     const auto h = static_cast<std::size_t>(home);
     int target = -1;
     if (!halted_[h] && queues_[h].size() < capacity_)
@@ -133,14 +138,25 @@ std::optional<ShardQueueSet::Popped> ShardQueueSet::pop_for(int shard) {
   }
 }
 
-void ShardQueueSet::halt(int shard) {
+std::vector<QueueEntry> ShardQueueSet::halt(int shard) {
   SFG_CHECK_MSG(shard >= 0 && shard < nshards_, "bad shard " << shard);
   std::lock_guard<std::mutex> lock(mutex_);
-  halted_[static_cast<std::size_t>(shard)] = true;
+  if (!halted_[static_cast<std::size_t>(shard)]) {
+    halted_[static_cast<std::size_t>(shard)] = true;
+    --live_shards_;
+  }
+  std::vector<QueueEntry> stranded;
+  if (live_shards_ == 0)
+    for (auto& q : queues_) {
+      stranded.insert(stranded.end(), q.begin(), q.end());
+      q.clear();
+    }
   // The dead shard's workers wake and exit; everyone else wakes because
-  // the halted queue became stealable and stopped taking spills.
+  // the halted queue became stealable and stopped taking spills, and a
+  // blocked submitter wakes to find no live shard left.
   not_empty_.notify_all();
   not_full_.notify_all();
+  return stranded;
 }
 
 bool ShardQueueSet::halted(int shard) const {
@@ -271,7 +287,9 @@ int ShardedFrontend::submit(const JobRequest& request) {
     // single-process service: a full fleet stalls this submitter without
     // stalling workers or other submitters.
     const int queued_on = queues_.submit(home, entry);
-    if (queued_on < 0) {
+    if (queued_on == ShardQueueSet::kNoLiveShard) {
+      fail_job(id, key, kNoLiveShardError);
+    } else if (queued_on < 0) {
       fail_job(id, key,
                "front-end shut down before the job could be queued");
     } else {
@@ -429,7 +447,8 @@ void ShardedFrontend::halt_shard(int shard) {
     if (shard_joined_[static_cast<std::size_t>(shard)]) return;
     shard_stats_[static_cast<std::size_t>(shard)].halted = true;
   }
-  queues_.halt(shard);
+  for (const QueueEntry& e : queues_.halt(shard))
+    fail_job(e.job_id, job(e.job_id).key, kNoLiveShardError);
   // Join that shard's workers OUTSIDE the front-end mutex: a worker
   // finishing its current job needs the mutex to complete it.
   const std::size_t first = static_cast<std::size_t>(shard) *

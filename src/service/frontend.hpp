@@ -184,8 +184,11 @@ class ShardQueueSet {
 
   /// Queue on `home`; spill to the least-loaded shard with space when
   /// home is full or halted; block while EVERY live queue is full
-  /// (backpressure). Returns the shard queued on, or -1 when closed.
+  /// (backpressure). Returns the shard queued on, kClosed when closed, or
+  /// kNoLiveShard when every shard is halted.
   int submit(int home, QueueEntry entry);
+  static constexpr int kClosed = -1;
+  static constexpr int kNoLiveShard = -2;
 
   /// Blocking pop for a worker of `shard`: own queue first, then the best
   /// entry of a halted or full queue. nullopt when the shard is halted or
@@ -194,7 +197,9 @@ class ShardQueueSet {
 
   /// Mark a shard's workers dead: its pops return nullopt, its queue
   /// becomes unconditionally stealable and it stops accepting spills.
-  void halt(int shard);
+  /// Halting the last live shard empties every queue and returns the
+  /// stranded entries: no worker is left to pop them.
+  std::vector<QueueEntry> halt(int shard);
   bool halted(int shard) const;
 
   void close();  ///< submits fail; pops drain every queue, then end
@@ -223,6 +228,7 @@ class ShardQueueSet {
   std::vector<std::set<QueueEntry, Order>> queues_;
   std::vector<std::size_t> peaks_;
   std::vector<bool> halted_;
+  int live_shards_;
   std::uint64_t next_seq_ = 0;
   bool closed_ = false;
 };
@@ -249,7 +255,9 @@ class ShardedFrontend {
   void shutdown();   ///< stop accepting, drain, join all workers
 
   /// Ops/fault hook: kill one shard's workers (joins them after their
-  /// current job). Queued work on that shard is stolen by the others.
+  /// current job). Queued work on that shard is stolen by the others;
+  /// once no live shard remains, every queued job and every later submit
+  /// fails at once.
   void halt_shard(int shard);
 
   FrontendJob job(int id) const;

@@ -413,6 +413,11 @@ JobResult run_parallel_attempt(const JobRequest& r, MeshCache& cache,
 ExecutionOutcome execute_job(const JobRequest& r, MeshCache& cache,
                              const std::string& scratch_dir,
                              int max_retries, io::IoBackendKind backend) {
+  // Start from an empty scratch directory: checkpoints another request
+  // left at the same path (a failed job, or a front-end reopened over the
+  // same work dir whose job ids restart at 0) must never be resumed.
+  std::error_code ec;
+  fs::remove_all(scratch_dir, ec);
   fs::create_directories(scratch_dir);
   const std::shared_ptr<io::BlobStore> store =
       scratch_store(scratch_dir, backend);
@@ -442,7 +447,6 @@ ExecutionOutcome execute_job(const JobRequest& r, MeshCache& cache,
       out.steps_executed += r.nsteps - start_step;
       out.resumed_from_step = restore_step > 0 ? restore_step : -1;
       out.result = std::move(result);
-      std::error_code ec;
       fs::remove_all(scratch_dir, ec);  // best-effort scratch cleanup
       return out;
     } catch (const smpi::SimulationAborted& e) {

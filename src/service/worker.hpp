@@ -108,9 +108,10 @@ struct ExecutionOutcome {
 
 /// Execute `r` to completion, retrying aborted attempts (at most
 /// `max_retries` retries) from the last consistent periodic checkpoint
-/// set under `scratch_dir` (cleaned up on success). `backend` places the
-/// per-rank checkpoints: one file per rank, or all ranks as chunks of a
-/// single `checkpoints.sfgc` container in the scratch directory (ISSUE 8).
+/// set under `scratch_dir` (emptied before the first attempt, removed on
+/// success). `backend` places the per-rank checkpoints: one file per rank,
+/// or all ranks as chunks of a single `checkpoints.sfgc` container in the
+/// scratch directory.
 /// Throws sfg::CheckError / std::runtime_error when the job cannot be
 /// completed (bad request, retries exhausted).
 ExecutionOutcome execute_job(

@@ -6,9 +6,8 @@
 /// Simulation::write_checkpoint / restore_checkpoint (ISSUE 2).
 ///
 /// The snapshot captures exactly the state the Newmark scheme carries
-/// across a step boundary: displ/veloc/accel (accel at end-of-step feeds
-/// the next predictor), the acoustic potential triple for fluid regions,
-/// the SLS attenuation memory variables, the step index and clock, and the
+/// across a step boundary — the fields declared once in marching_state(),
+/// plus the step index, clock and per-rate LTS clocks — and the
 /// seismogram samples recorded so far (so the *final* seismograms of a
 /// restarted run equal the uninterrupted ones bit for bit). Sources are
 /// pure functions of time_, so no RNG or source state is needed beyond the
@@ -32,10 +31,9 @@ struct CheckpointMeta {
   std::int32_t has_fluid = 0;
   std::int32_t nreceivers = 0;
   std::int32_t nsources = 0;
-  /// Clustered LTS (ISSUE 7): global cluster count when LTS is active,
-  /// 0 when it is off — a snapshot can never silently cross the LTS
-  /// on/off boundary — plus the interface-point count pinning the
-  /// interpolation-buffer layout.
+  /// Clustered LTS: global cluster count (1 = global dt) — a snapshot can
+  /// never silently cross to another cluster count — plus the
+  /// interface-point count pinning the interpolation-buffer layout.
   std::int32_t lts_levels = 0;
   std::int32_t lts_ninterp = 0;
 };
@@ -55,6 +53,36 @@ struct MetricsCheckpoint {
 
 }  // namespace
 
+template <class Self>
+auto Simulation::marching_state(Self& self) {
+  using Field = decltype(&self.displ_);
+  // displ/veloc/accel: accel at end-of-step feeds the next predictor.
+  std::vector<std::pair<std::string, Field>> state = {
+      {"displ", &self.displ_}, {"veloc", &self.veloc_},
+      {"accel", &self.accel_}};
+  if (self.global_has_fluid_) {
+    state.emplace_back("chi", &self.chi_);
+    state.emplace_back("chi_dot", &self.chi_dot_);
+    state.emplace_back("chi_ddot", &self.chi_ddot_);
+  }
+  for (std::size_t l = 0; l < self.r_mem_.size(); ++l)
+    for (std::size_t c = 0; c < 5; ++c)
+      state.emplace_back(
+          "r_mem." + std::to_string(l) + "." + std::to_string(c),
+          &self.r_mem_[l][c]);
+  // Multi-cluster LTS: the latched per-cluster accelerations and the
+  // stride-start interface snapshots are exactly what the masked
+  // predictor reads mid-stride — without them a restored run would
+  // diverge at the first slow-cluster substep.
+  if (self.lts_num_levels_ > 1) {
+    state.emplace_back("lts.a_pred", &self.a_pred_);
+    state.emplace_back("lts.u0", &self.interp_u0_);
+    state.emplace_back("lts.v0", &self.interp_v0_);
+    state.emplace_back("lts.a0", &self.interp_a0_);
+  }
+  return state;
+}
+
 io::SnapshotWriter Simulation::checkpoint_snapshot() const {
   io::SnapshotWriter writer;
 
@@ -69,36 +97,13 @@ io::SnapshotWriter Simulation::checkpoint_snapshot() const {
   meta.has_fluid = global_has_fluid_ ? 1 : 0;
   meta.nreceivers = static_cast<std::int32_t>(receivers_.size());
   meta.nsources = static_cast<std::int32_t>(sources_.size());
-  meta.lts_levels = lts_active_ ? lts_num_levels_ : 0;
+  meta.lts_levels = lts_num_levels_;
   meta.lts_ninterp = static_cast<std::int32_t>(lts_interp_.points.size());
   writer.add_values("meta", &meta, 1);
 
-  writer.add_values("displ", displ_.data(), displ_.size());
-  writer.add_values("veloc", veloc_.data(), veloc_.size());
-  writer.add_values("accel", accel_.data(), accel_.size());
-  if (global_has_fluid_) {
-    writer.add_values("chi", chi_.data(), chi_.size());
-    writer.add_values("chi_dot", chi_dot_.data(), chi_dot_.size());
-    writer.add_values("chi_ddot", chi_ddot_.data(), chi_ddot_.size());
-  }
-  for (std::size_t l = 0; l < r_mem_.size(); ++l)
-    for (int c = 0; c < 5; ++c) {
-      const auto& v = r_mem_[l][static_cast<std::size_t>(c)];
-      writer.add_values("r_mem." + std::to_string(l) + "." +
-                            std::to_string(c),
-                        v.data(), v.size());
-    }
-  // Clustered LTS state: the latched per-cluster accelerations, the
-  // stride-start interface snapshots and the per-rate clocks are exactly
-  // what the masked predictor reads mid-stride — without them a restored
-  // multi-cluster run would diverge at the first slow-cluster substep.
-  if (lts_active_) {
-    writer.add_values("lts.a_pred", a_pred_.data(), a_pred_.size());
-    writer.add_values("lts.u0", interp_u0_.data(), interp_u0_.size());
-    writer.add_values("lts.v0", interp_v0_.data(), interp_v0_.size());
-    writer.add_values("lts.a0", interp_a0_.data(), interp_a0_.size());
-    writer.add_vector("lts.clock", lts_clock_);
-  }
+  for (const auto& [name, field] : marching_state(*this))
+    writer.add_values(name, field->data(), field->size());
+  writer.add_vector("lts.clock", lts_clock_);
 
   for (std::size_t r = 0; r < receivers_.size(); ++r) {
     const Seismogram& s = receivers_[r].seis;
@@ -201,17 +206,11 @@ void Simulation::restore_from(const io::SnapshotReader& reader,
                 "checkpoint '" << path << "' had " << meta.nsources
                                << " sources, this run has "
                                << sources_.size());
-  SFG_CHECK_MSG(meta.lts_levels == (lts_active_ ? lts_num_levels_ : 0),
-                "checkpoint '"
-                    << path << "' was taken with LTS "
-                    << (meta.lts_levels > 0
-                            ? "on (" + std::to_string(meta.lts_levels) +
-                                  " clusters)"
-                            : std::string("off"))
-                    << ", this run has "
-                    << (lts_active_ ? std::to_string(lts_num_levels_) +
-                                          " clusters"
-                                    : std::string("LTS off")));
+  SFG_CHECK_MSG(meta.lts_levels == lts_num_levels_,
+                "checkpoint '" << path << "' was taken with "
+                               << meta.lts_levels
+                               << " LTS cluster(s), this run has "
+                               << lts_num_levels_);
   SFG_CHECK_MSG(
       meta.lts_ninterp ==
           static_cast<std::int32_t>(lts_interp_.points.size()),
@@ -219,27 +218,14 @@ void Simulation::restore_from(const io::SnapshotReader& reader,
                      << " LTS interface points, this run has "
                      << lts_interp_.points.size());
 
-  auto load_field = [&](const char* name, aligned_vector<float>& field) {
+  for (const auto& [name, field] : marching_state(*this)) {
     const auto v = reader.read_vector<float>(name);
-    SFG_CHECK_MSG(v.size() == field.size(),
+    SFG_CHECK_MSG(v.size() == field->size(),
                   "checkpoint section '" << name << "' has " << v.size()
                                          << " floats, expected "
-                                         << field.size());
-    std::copy(v.begin(), v.end(), field.begin());
-  };
-  load_field("displ", displ_);
-  load_field("veloc", veloc_);
-  load_field("accel", accel_);
-  if (global_has_fluid_) {
-    load_field("chi", chi_);
-    load_field("chi_dot", chi_dot_);
-    load_field("chi_ddot", chi_ddot_);
+                                         << field->size());
+    std::copy(v.begin(), v.end(), field->begin());
   }
-  for (std::size_t l = 0; l < r_mem_.size(); ++l)
-    for (int c = 0; c < 5; ++c)
-      load_field(("r_mem." + std::to_string(l) + "." + std::to_string(c))
-                     .c_str(),
-                 r_mem_[l][static_cast<std::size_t>(c)]);
 
   for (std::size_t r = 0; r < receivers_.size(); ++r) {
     Seismogram& s = receivers_[r].seis;
@@ -270,27 +256,21 @@ void Simulation::restore_from(const io::SnapshotReader& reader,
                             mc.total_wall);
   }
 
-  if (lts_active_) {
-    load_field("lts.a_pred", a_pred_);
-    load_field("lts.u0", interp_u0_);
-    load_field("lts.v0", interp_v0_);
-    load_field("lts.a0", interp_a0_);
-    const auto clock = reader.read_vector<std::int64_t>("lts.clock");
-    SFG_CHECK_MSG(clock.size() == lts_clock_.size(),
-                  "checkpoint '" << path << "' holds " << clock.size()
-                                 << " LTS clocks, this run has "
-                                 << lts_clock_.size());
-    // Clock soundness: clock[r] counts completed rate-r strides, so it
-    // must equal step >> r — a snapshot violating that was written by a
-    // broken marcher and cannot be resumed.
-    for (std::size_t r = 0; r < clock.size(); ++r)
-      SFG_CHECK_MSG(clock[r] == (meta.step >> r),
-                    "checkpoint '" << path << "' LTS clock[" << r << "] = "
-                                   << clock[r] << " disagrees with step "
-                                   << meta.step << " (expected "
-                                   << (meta.step >> r) << ")");
-    lts_clock_ = clock;
-  }
+  const auto clock = reader.read_vector<std::int64_t>("lts.clock");
+  SFG_CHECK_MSG(clock.size() == lts_clock_.size(),
+                "checkpoint '" << path << "' holds " << clock.size()
+                               << " LTS clocks, this run has "
+                               << lts_clock_.size());
+  // Clock soundness: clock[r] counts completed rate-r strides, so it must
+  // equal step >> r — a snapshot violating that was written by a broken
+  // marcher and cannot be resumed.
+  for (std::size_t r = 0; r < clock.size(); ++r)
+    SFG_CHECK_MSG(clock[r] == (meta.step >> r),
+                  "checkpoint '" << path << "' LTS clock[" << r << "] = "
+                                 << clock[r] << " disagrees with step "
+                                 << meta.step << " (expected "
+                                 << (meta.step >> r) << ")");
+  lts_clock_ = clock;
 
   it_ = static_cast<int>(meta.step);
   time_ = meta.time;

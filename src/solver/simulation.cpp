@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <ostream>
 
@@ -41,9 +40,7 @@ Simulation::Simulation(const HexMesh& mesh, const GllBasis& basis,
       cfg_(std::move(config)),
       comm_(comm),
       exchanger_(exchanger),
-      kernel_(basis,
-              resolve_kernel_choice(cfg_.kernel, basis.num_points(),
-                                    std::getenv("SFG_KERNEL")),
+      kernel_(basis, resolve_kernel_choice(cfg_.kernel, basis.num_points()),
               cfg_.attenuation),
       profile_(cfg_.metrics.enabled, cfg_.metrics.timeline,
                cfg_.metrics.max_timeline_events) {
@@ -54,15 +51,13 @@ Simulation::Simulation(const HexMesh& mesh, const GllBasis& basis,
                 "parallel runs need both a communicator and an exchanger");
   SFG_CHECK_MSG(cfg_.num_threads >= 1, "num_threads must be at least 1");
 
-  // One-line ISA/variant report (ISSUE 6 satellite): what the Auto/env
-  // resolution actually picked for this run.
+  // One-line ISA/variant report: what the Auto resolution actually
+  // picked for this run.
   batched_ = kernel_.variant() == KernelVariant::Batched;
   SFG_INFO("force kernel: variant="
            << kernel_variant_name(kernel_.variant())
            << " isa=" << simd::isa_name(kernel_.isa())
-           << " lanes=" << kernel_.lanes()
-           << (std::getenv("SFG_KERNEL") != nullptr ? " (SFG_KERNEL override)"
-                                                    : ""));
+           << " lanes=" << kernel_.lanes());
 
   for (int e = 0; e < mesh_.nspec; ++e) {
     if (mat_.element_is_fluid[static_cast<std::size_t>(e)])
@@ -91,29 +86,20 @@ Simulation::Simulation(const HexMesh& mesh, const GllBasis& basis,
   if (cfg_.num_threads > 1)
     pool_ = std::make_unique<ThreadPool>(cfg_.num_threads);
 
-  // Resolve the schedule variant (ISSUE 4). Auto keeps the historical
-  // default at one thread (sequential, or plain colored when forced) and
-  // upgrades threaded runs to the locality-aware interleaved schedule —
-  // bit-identical to plain colored by the ascending-color summation order.
+  // Resolve the schedule variant. Auto keeps the legacy loop at one
+  // thread and one cluster; threaded runs need the race-free color rounds,
+  // and multi-cluster LTS runs through per-rate element schedules.
   schedule_ = cfg_.schedule;
-  if (schedule_ == SolverSchedule::Auto) {
-    if (cfg_.num_threads > 1)
-      schedule_ = SolverSchedule::Interleaved;
-    else if (lts_num_levels_ > 1)
-      // Multi-cluster LTS runs through per-rate element schedules; the
-      // interleaved variant keeps its locality pass and proof machinery.
-      schedule_ = SolverSchedule::Interleaved;
-    else
-      schedule_ = cfg_.force_colored_schedule ? SolverSchedule::Colored
-                                              : SolverSchedule::Sequential;
-  }
+  if (schedule_ == SolverSchedule::Auto)
+    schedule_ = cfg_.num_threads > 1 || lts_num_levels_ > 1
+                    ? SolverSchedule::Colored
+                    : SolverSchedule::Sequential;
   SFG_CHECK_MSG(
       schedule_ != SolverSchedule::Sequential || cfg_.num_threads == 1,
       "the sequential schedule requires num_threads == 1");
   SFG_CHECK_MSG(
       schedule_ != SolverSchedule::Sequential || lts_num_levels_ == 1,
       "multi-cluster LTS requires a colored schedule");
-  colored_schedule_ = schedule_ != SolverSchedule::Sequential;
 
   const auto ng = static_cast<std::size_t>(mesh_.nglob);
   displ_.assign(ng * 3, 0.0f);
@@ -222,23 +208,16 @@ Simulation::Simulation(const HexMesh& mesh, const GllBasis& basis,
 }
 
 void Simulation::build_colored_schedule() {
-  solid_boundary_batches_.clear();
-  solid_interior_batches_.clear();
-  fluid_batches_.clear();
-  sched_solid_boundary_ = ElementSchedule{};
-  sched_solid_interior_ = ElementSchedule{};
+  sched_boundary_ = ClusterSchedule{};
+  sched_interior_ = ClusterSchedule{};
   sched_fluid_ = ElementSchedule{};
-  packed_solid_boundary_ = PackedBatches{};
-  packed_solid_interior_ = PackedBatches{};
+  packed_boundary_.clear();
+  packed_interior_.clear();
   packed_fluid_ = PackedBatches{};
   packed_seq_solid_ = PackedBatches{};
   packed_seq_fluid_ = PackedBatches{};
-  lts_sched_boundary_ = ClusterSchedule{};
-  lts_sched_interior_ = ClusterSchedule{};
-  lts_packed_boundary_.clear();
-  lts_packed_interior_.clear();
   num_boundary_elements_ = 0;
-  if (!colored_schedule_) {
+  if (schedule_ == SolverSchedule::Sequential) {
     if (batched_) {
       // Sequential + batched: consecutive legacy-order runs. Lanes are
       // arithmetically independent and scattered one by one in item
@@ -280,18 +259,11 @@ void Simulation::build_colored_schedule() {
     (touches_halo(e) ? boundary : interior).push_back(e);
   num_boundary_elements_ = static_cast<int>(boundary.size());
 
-  solid_boundary_batches_ = color_batches(boundary, color_of);
-  solid_interior_batches_ = color_batches(interior, color_of);
-  fluid_batches_ = color_batches(fluid_elements_, color_of);
-
-  // Second-level locality pass (ISSUE 4): order elements within each
-  // color by RCM proximity, then interleave color pairs into per-slot
-  // work units with disjoint point footprints. The three schedule
-  // invariants are re-proven here against the built result, so a broken
-  // builder can never reach the time loop.
+  // Color rounds with elements ordered by proximity inside each color.
+  // The schedule invariants are re-proven here against the built result,
+  // so a broken builder can never reach the time loop.
   ScheduleOptions opts;
   opts.num_slots = cfg_.num_threads;
-  opts.interleave_pairs = schedule_ == SolverSchedule::Interleaved;
   opts.batch_lanes = batched_ ? kernel_.lanes() : 1;
   // Proximity reference = the legacy processing order itself (the mesher
   // already stores elements in its §4.2 cache-blocked order, and the
@@ -303,38 +275,6 @@ void Simulation::build_colored_schedule() {
     opts.proximity_rank[static_cast<std::size_t>(order[pos])] =
         static_cast<int>(pos);
 
-  if (lts_active_ && lts_num_levels_ > 1) {
-    // Clustered LTS (ISSUE 7): one checked schedule per marching rate, so
-    // the existing color/interleave/batch machinery runs unchanged within
-    // each cluster round. The Simulation refuses to march on any schedule
-    // the cluster checker rejects (invariants C-A..C-B), exactly as the
-    // single-rate path refuses a broken element schedule.
-    auto build_cluster_checked = [&](const std::vector<int>& elems) {
-      ClusterSchedule cs = build_cluster_schedule(mesh_, elems, color_of,
-                                                  lts_part_, opts,
-                                                  cfg_.lts.cluster);
-      const std::string err =
-          check_cluster_schedule(mesh_, elems, color_of, lts_part_, cs);
-      SFG_CHECK_MSG(err.empty(),
-                    "cluster schedule invariant violated: " << err);
-      return cs;
-    };
-    lts_sched_boundary_ = build_cluster_checked(boundary);
-    lts_sched_interior_ = build_cluster_checked(interior);
-    if (batched_) {
-      for (const ElementSchedule& s : lts_sched_boundary_.rate_sched)
-        lts_packed_boundary_.push_back(pack_batches(s.items, s.batch_cut));
-      for (const ElementSchedule& s : lts_sched_interior_.rate_sched)
-        lts_packed_interior_.push_back(pack_batches(s.items, s.batch_cut));
-    }
-    return;
-  }
-
-  // The Batched kernel always executes colored variants through element
-  // schedules (plain rounds for Colored), so the SoA batch cuts exist
-  // and are invariant-checked for every variant.
-  if (schedule_ != SolverSchedule::Interleaved && !batched_) return;
-
   auto build_checked = [&](const std::vector<int>& elems) {
     ElementSchedule s = build_element_schedule(mesh_, elems, color_of, opts);
     const std::string err =
@@ -342,14 +282,32 @@ void Simulation::build_colored_schedule() {
     SFG_CHECK_MSG(err.empty(), "schedule invariant violated: " << err);
     return s;
   };
-  sched_solid_boundary_ = build_checked(boundary);
-  sched_solid_interior_ = build_checked(interior);
+  // One checked schedule per marching rate. The Simulation refuses to
+  // march on any schedule the cluster checker rejects (invariants
+  // C-A..C-B); one cluster is a single rate-0 schedule.
+  auto build_rates = [&](const std::vector<int>& elems) {
+    ClusterSchedule cs;
+    if (lts_num_levels_ == 1) {
+      cs.rates = {0};
+      cs.rate_elements = {elems};
+      cs.rate_sched.push_back(build_checked(elems));
+      return cs;
+    }
+    cs = build_cluster_schedule(mesh_, elems, color_of, lts_part_, opts,
+                                cfg_.lts.cluster);
+    const std::string err =
+        check_cluster_schedule(mesh_, elems, color_of, lts_part_, cs);
+    SFG_CHECK_MSG(err.empty(), "cluster schedule invariant violated: " << err);
+    return cs;
+  };
+  sched_boundary_ = build_rates(boundary);
+  sched_interior_ = build_rates(interior);
   sched_fluid_ = build_checked(fluid_elements_);
   if (batched_) {
-    packed_solid_boundary_ = pack_batches(sched_solid_boundary_.items,
-                                          sched_solid_boundary_.batch_cut);
-    packed_solid_interior_ = pack_batches(sched_solid_interior_.items,
-                                          sched_solid_interior_.batch_cut);
+    for (const ElementSchedule& s : sched_boundary_.rate_sched)
+      packed_boundary_.push_back(pack_batches(s.items, s.batch_cut));
+    for (const ElementSchedule& s : sched_interior_.rate_sched)
+      packed_interior_.push_back(pack_batches(s.items, s.batch_cut));
     packed_fluid_ = pack_batches(sched_fluid_.items, sched_fluid_.batch_cut);
   }
 }
@@ -430,22 +388,6 @@ Simulation::PackedBatches Simulation::pack_sequential(
   while (cut.back() < elems.size())
     cut.push_back(std::min(elems.size(), cut.back() + lanes));
   return pack_batches(elems, cut);
-}
-
-int Simulation::num_solid_batches() const {
-  return static_cast<int>(solid_boundary_batches_.size() +
-                          solid_interior_batches_.size());
-}
-
-int Simulation::num_residual_elements() const {
-  int n = sched_solid_boundary_.residual_elements +
-          sched_solid_interior_.residual_elements +
-          sched_fluid_.residual_elements;
-  for (const ElementSchedule& s : lts_sched_boundary_.rate_sched)
-    n += s.residual_elements;
-  for (const ElementSchedule& s : lts_sched_interior_.rate_sched)
-    n += s.residual_elements;
-  return n;
 }
 
 void Simulation::build_mass_matrices() {
@@ -927,38 +869,6 @@ void Simulation::process_solid_batch(const PackedBatches& pb, std::size_t b,
   }
 }
 
-void Simulation::run_solid_batches(
-    const std::vector<std::vector<int>>& batches) {
-  for (const std::vector<int>& batch : batches) {
-    if (pool_ == nullptr) {
-      for (int e : batch) process_solid_element(e, *scratch_[0]);
-    } else {
-      pool_->parallel_for_chunked(
-          batch.size(), [&](int t, std::size_t b, std::size_t n) {
-            ThreadScratch& ts = *scratch_[static_cast<std::size_t>(t)];
-            for (std::size_t i = b; i < n; ++i)
-              process_solid_element(batch[i], ts);
-          });
-    }
-  }
-}
-
-void Simulation::run_fluid_batches(
-    const std::vector<std::vector<int>>& batches) {
-  for (const std::vector<int>& batch : batches) {
-    if (pool_ == nullptr) {
-      for (int e : batch) process_fluid_element(e, scratch_[0]->ws);
-    } else {
-      pool_->parallel_for_chunked(
-          batch.size(), [&](int t, std::size_t b, std::size_t n) {
-            KernelWorkspace& ws = scratch_[static_cast<std::size_t>(t)]->ws;
-            for (std::size_t i = b; i < n; ++i)
-              process_fluid_element(batch[i], ws);
-          });
-    }
-  }
-}
-
 void Simulation::run_element_schedule(const ElementSchedule& schedule,
                                       const PackedBatches* packed,
                                       bool solid) {
@@ -985,16 +895,12 @@ void Simulation::run_element_schedule(const ElementSchedule& schedule,
         process_fluid_element(items[i], ts.ws);
     }
   };
-  // Paired and plain rounds both feed SchedulePaired; residual rounds are
-  // reported separately so the report shows how much work the straddler
-  // demotion costs. Both are nested inside the enclosing solid/fluid
-  // phase and excluded from the wall-time-sum invariant.
-  auto record_round = [&](int /*round*/, int tag, double seconds) {
+  // Rounds are nested inside the enclosing solid/fluid phase and
+  // excluded from the wall-time-sum invariant.
+  auto record_round = [&](int /*round*/, int /*tag*/, double seconds) {
     if (!profile_.enabled()) return;
-    const metrics::Phase phase = tag == kSchedRoundResidual
-                                     ? metrics::Phase::ScheduleResidual
-                                     : metrics::Phase::SchedulePaired;
-    profile_.record(phase, profile_.now() - seconds, seconds);
+    profile_.record(metrics::Phase::ScheduleRound, profile_.now() - seconds,
+                    seconds);
   };
   if (pool_ == nullptr) {
     // Inline path (1 slot): same round/unit traversal order, same
@@ -1032,12 +938,9 @@ void Simulation::compute_fluid_forces() {
     metrics::PhaseScope ps(&profile_, metrics::Phase::FluidForces);
 
     // Element contributions.
-    if (colored_schedule_ &&
-        (schedule_ == SolverSchedule::Interleaved || batched_)) {
+    if (schedule_ == SolverSchedule::Colored) {
       run_element_schedule(sched_fluid_, batched_ ? &packed_fluid_ : nullptr,
                            /*solid=*/false);
-    } else if (colored_schedule_) {
-      run_fluid_batches(fluid_batches_);
     } else if (batched_) {
       for (std::size_t b = 0; b < packed_seq_fluid_.num_batches(); ++b)
         process_fluid_batch(packed_seq_fluid_, b, *scratch_[0]);
@@ -1145,7 +1048,20 @@ void Simulation::record_attenuation_time() {
 }
 
 void Simulation::compute_solid_forces() {
-  if (!colored_schedule_) {
+  const bool colored = schedule_ == SolverSchedule::Colored;
+  // A rate-r schedule fires on the substeps that end its stride, ascending
+  // rate: the per-point summation order is (rate, color) lexicographic,
+  // fixed across thread counts. Rate 0 fires every substep.
+  const int n = it_;
+  auto run_rates = [&](const ClusterSchedule& cs,
+                       const std::vector<PackedBatches>& packed) {
+    for (std::size_t ri = 0; ri < cs.rates.size(); ++ri)
+      if (((n + 1) & ((1 << cs.rates[ri]) - 1)) == 0)
+        run_element_schedule(cs.rate_sched[ri],
+                             batched_ ? &packed[ri] : nullptr,
+                             /*solid=*/true);
+  };
+  if (!colored) {
     metrics::PhaseScope ps(&profile_, metrics::Phase::SolidForces);
     if (batched_) {
       for (std::size_t b = 0; b < packed_seq_solid_.num_batches(); ++b)
@@ -1158,12 +1074,7 @@ void Simulation::compute_solid_forces() {
     // below) have contributed, every halo point holds its final local
     // value and the exchange can start.
     metrics::PhaseScope ps(&profile_, metrics::Phase::SolidBoundary);
-    if (schedule_ == SolverSchedule::Interleaved || batched_)
-      run_element_schedule(sched_solid_boundary_,
-                           batched_ ? &packed_solid_boundary_ : nullptr,
-                           /*solid=*/true);
-    else
-      run_solid_batches(solid_boundary_batches_);
+    run_rates(sched_boundary_, packed_boundary_);
   }
 
   metrics::PhaseScope ps_surface(&profile_,
@@ -1198,7 +1109,10 @@ void Simulation::compute_solid_forces() {
         ap.weight * (tn * ap.nz + rho * vs * (vz - vn * ap.nz)));
   }
 
-  // Sources.
+  // Sources fire every substep: with several clusters the injection lands
+  // on the assembled acceleration of whatever points are due now and is
+  // junk-discarded elsewhere, so each cluster integrates the STF at its
+  // own rate.
   inject_sources();
   ps_surface.stop();
 
@@ -1206,7 +1120,7 @@ void Simulation::compute_solid_forces() {
   // halo point carries its final local value, hide it behind the interior
   // batches, and only then wait. Interior elements touch no halo point, so
   // they never race with the exchange snapshot or accumulation.
-  if (colored_schedule_) {
+  if (colored) {
     if (exchanger_ != nullptr) {
       metrics::PhaseScope ps(&profile_, metrics::Phase::HaloBegin);
       exchanger_->assemble_add_begin(*comm_, accel_.data(), 3);
@@ -1214,12 +1128,7 @@ void Simulation::compute_solid_forces() {
     {
       metrics::PhaseScope ps(&profile_, metrics::Phase::SolidInterior);
       WallTimer t_interior;
-      if (schedule_ == SolverSchedule::Interleaved || batched_)
-        run_element_schedule(sched_solid_interior_,
-                             batched_ ? &packed_solid_interior_ : nullptr,
-                             /*solid=*/true);
-      else
-        run_solid_batches(solid_interior_batches_);
+      run_rates(sched_interior_, packed_interior_);
       if (exchanger_ != nullptr)
         overlap_compute_seconds_ += t_interior.seconds();
     }
@@ -1234,10 +1143,13 @@ void Simulation::compute_solid_forces() {
     exchanger_->assemble_add(*comm_, accel_.data(), 3);
   }
 
+  // Unmasked mass division: cheap, and with several clusters the junk at
+  // not-due points stays junk (discarded by the masked corrector/predictor
+  // pair).
   metrics::PhaseScope ps_mass(&profile_, metrics::Phase::MassUpdate);
   const auto ng = static_cast<std::size_t>(mesh_.nglob);
-  parallel_over(ng, [&](std::size_t b, std::size_t n) {
-    for (std::size_t g = b; g < n; ++g) {
+  parallel_over(ng, [&](std::size_t b, std::size_t e) {
+    for (std::size_t g = b; g < e; ++g) {
       const float rm = rmass_inv_solid_[g];
       accel_[g * 3 + 0] *= rm;
       accel_[g * 3 + 1] *= rm;
@@ -1249,8 +1161,8 @@ void Simulation::compute_solid_forces() {
   // the term's weak form shares the diagonal mass matrix).
   if (cfg_.rotation) {
     const double two_om = 2.0 * cfg_.omega_rad_s;
-    parallel_over(ng, [&](std::size_t b, std::size_t n) {
-      for (std::size_t g = b; g < n; ++g) {
+    parallel_over(ng, [&](std::size_t b, std::size_t e) {
+      for (std::size_t g = b; g < e; ++g) {
         const double vx = veloc_[g * 3 + 0];
         const double vy = veloc_[g * 3 + 1];
         if (rmass_inv_solid_[g] == 0.0f) continue;
@@ -1292,59 +1204,53 @@ void Simulation::exchange_point_min(std::vector<int>& values) const {
 }
 
 void Simulation::build_cluster_partition_lts() {
-  lts_active_ = cfg_.lts.enabled;
-  if (!lts_active_) return;
-
-  std::vector<int> level_of;
-  if (cfg_.lts.element_dt.empty()) {
-    level_of.assign(static_cast<std::size_t>(mesh_.nspec), 0);
-  } else {
+  if (!cfg_.lts.element_dt.empty()) {
     SFG_CHECK_MSG(cfg_.lts.element_dt.size() ==
                       static_cast<std::size_t>(mesh_.nspec),
                   "lts.element_dt must carry one stable dt per element");
-    level_of =
-        cluster_levels_from_dt(cfg_.lts.element_dt, cfg_.dt,
-                               cfg_.lts.max_levels);
-  }
-  // Fluid elements march at the base rate: the acoustic potential has no
-  // interface interpolation yet.
-  for (int e : fluid_elements_) level_of[static_cast<std::size_t>(e)] = 0;
+    std::vector<int> level_of = cluster_levels_from_dt(
+        cfg_.lts.element_dt, cfg_.dt, cfg_.lts.max_levels);
+    // Fluid elements march at the base rate: the acoustic potential has
+    // no interface interpolation yet.
+    for (int e : fluid_elements_) level_of[static_cast<std::size_t>(e)] = 0;
 
-  // Rate-2 smoothing to a CROSS-RANK fixed point: point levels are
-  // min-combined across ranks before each clamp so an element whose fast
-  // neighbour lives on another rank still steps down. Terminates because
-  // levels only ever decrease.
-  std::vector<int> point_level;
-  for (;;) {
-    point_level = cluster_point_levels(mesh_, level_of);
-    exchange_point_min(point_level);
-    int changed = clamp_cluster_levels(mesh_, point_level, level_of);
+    // Rate-2 smoothing to a CROSS-RANK fixed point: point levels are
+    // min-combined across ranks before each clamp so an element whose
+    // fast neighbour lives on another rank still steps down. Terminates
+    // because levels only ever decrease.
+    std::vector<int> point_level;
+    for (;;) {
+      point_level = cluster_point_levels(mesh_, level_of);
+      exchange_point_min(point_level);
+      int changed = clamp_cluster_levels(mesh_, point_level, level_of);
+      if (comm_ != nullptr)
+        changed = static_cast<int>(comm_->allreduce_one<std::uint64_t>(
+            static_cast<std::uint64_t>(changed), smpi::ReduceOp::Max));
+      if (changed == 0) break;
+    }
+    lts_part_ = finalize_cluster_partition(mesh_, std::move(level_of),
+                                           std::move(point_level));
+
+    lts_num_levels_ = lts_part_.num_levels;
     if (comm_ != nullptr)
-      changed = static_cast<int>(comm_->allreduce_one<std::uint64_t>(
-          static_cast<std::uint64_t>(changed), smpi::ReduceOp::Max));
-    if (changed == 0) break;
+      lts_num_levels_ = static_cast<int>(comm_->allreduce_one<std::uint64_t>(
+          static_cast<std::uint64_t>(lts_num_levels_), smpi::ReduceOp::Max));
   }
-  lts_part_ = finalize_cluster_partition(mesh_, std::move(level_of),
-                                         std::move(point_level));
+  lts_clock_.assign(static_cast<std::size_t>(lts_num_levels_), 0);
+  // One cluster is global dt: every point is due every substep, so there
+  // is no interface state to build, allocate or checkpoint.
+  if (lts_num_levels_ == 1) return;
 
-  lts_num_levels_ = lts_part_.num_levels;
-  if (comm_ != nullptr)
-    lts_num_levels_ = static_cast<int>(comm_->allreduce_one<std::uint64_t>(
-        static_cast<std::uint64_t>(lts_num_levels_), smpi::ReduceOp::Max));
-
-  if (lts_num_levels_ > 1) {
-    // Feature restrictions: these carry per-substep element or boundary
-    // state the interface interpolation does not serve yet. Refuse loudly
-    // instead of producing silently wrong physics.
-    SFG_CHECK_MSG(!cfg_.attenuation,
-                  "multi-cluster LTS does not support attenuation");
-    SFG_CHECK_MSG(!cfg_.rotation,
-                  "multi-cluster LTS does not support rotation");
-    SFG_CHECK_MSG(!global_has_fluid_,
-                  "multi-cluster LTS does not support fluid regions");
-    SFG_CHECK_MSG(cfg_.absorbing_faces.empty(),
-                  "multi-cluster LTS does not support absorbing boundaries");
-  }
+  // Feature restrictions: these carry per-substep element or boundary
+  // state the interface interpolation does not serve yet. Refuse loudly
+  // instead of producing silently wrong physics.
+  SFG_CHECK_MSG(!cfg_.attenuation,
+                "multi-cluster LTS does not support attenuation");
+  SFG_CHECK_MSG(!cfg_.rotation, "multi-cluster LTS does not support rotation");
+  SFG_CHECK_MSG(!global_has_fluid_,
+                "multi-cluster LTS does not support fluid regions");
+  SFG_CHECK_MSG(cfg_.absorbing_faces.empty(),
+                "multi-cluster LTS does not support absorbing boundaries");
 
   // Interface set from the min-combined marching rates (the exchanged
   // values keep the interpolation-set membership — and hence the displ
@@ -1366,7 +1272,6 @@ void Simulation::build_cluster_partition_lts() {
   interp_u0_.assign(ni * 3, 0.0f);
   interp_v0_.assign(ni * 3, 0.0f);
   interp_a0_.assign(ni * 3, 0.0f);
-  lts_clock_.assign(static_cast<std::size_t>(lts_num_levels_), 0);
 
   SFG_INFO("clustered LTS: levels=" << lts_num_levels_
            << " interface_points=" << ni);
@@ -1374,17 +1279,11 @@ void Simulation::build_cluster_partition_lts() {
 
 void Simulation::lts_predict() {
   const double dt = cfg_.dt;
+  const double dt2 = 0.5 * dt * dt;
   const auto ng = static_cast<std::size_t>(mesh_.nglob);
-  const int n = it_;  // substep about to execute
-  const int* plevel = lts_part_.point_level.data();
-  const std::size_t ni = lts_interp_.points.size();
 
-  // Degenerate single-cluster run (globally one level, hence no interface
-  // points): every point is due every substep and a_pred_ mirrors accel_,
-  // so the legacy fused loop computes the same bits without the extra
-  // a_pred_/level streams (which otherwise cost a few percent of a step).
   if (lts_num_levels_ == 1) {
-    const double dt2 = 0.5 * dt * dt;
+    // One cluster: every point takes the global-dt predictor.
     parallel_over(ng * 3, [&](std::size_t b, std::size_t e) {
       for (std::size_t g = b; g < e; ++g) {
         displ_[g] += static_cast<float>(dt * veloc_[g] + dt2 * accel_[g]);
@@ -1392,70 +1291,83 @@ void Simulation::lts_predict() {
         accel_[g] = 0.0f;
       }
     });
-    return;
-  }
+  } else {
+    const int n = it_;  // substep about to execute
+    const int* plevel = lts_part_.point_level.data();
+    const std::size_t ni = lts_interp_.points.size();
 
-  // Stride-start Taylor snapshot of the interface points, BEFORE the
-  // masked predictor moves them: u0/v0 are the stride-boundary kinematics,
-  // a0 the acceleration latched at the owning cluster's last corrector.
-  if (ni > 0) {
-    metrics::PhaseScope ps(&profile_, metrics::Phase::LtsInterpolate);
-    for (std::size_t i = 0; i < ni; ++i) {
-      const int lv = lts_interp_.level[i];
-      if ((n & ((1 << lv) - 1)) != 0) continue;
-      const auto g = static_cast<std::size_t>(lts_interp_.points[i]) * 3;
-      for (int c = 0; c < 3; ++c) {
-        interp_u0_[i * 3 + static_cast<std::size_t>(c)] = displ_[g + c];
-        interp_v0_[i * 3 + static_cast<std::size_t>(c)] = veloc_[g + c];
-        interp_a0_[i * 3 + static_cast<std::size_t>(c)] = a_pred_[g + c];
-      }
-    }
-  }
-
-  // Masked predictor: a level-L point takes its full 2^L dt stride at the
-  // stride-start substep and rests otherwise; acceleration is zeroed at
-  // EVERY point every substep (partial sums at resting points are junk by
-  // construction and discarded). At one cluster (L == 0 everywhere)
-  // dtL == dt bitwise, a_pred_ mirrors accel_, and this loop performs
-  // exactly the legacy update — the bit-identity the golden legs pin.
-  parallel_over(ng, [&](std::size_t b, std::size_t e) {
-    for (std::size_t g = b; g < e; ++g) {
-      const int lv = plevel[g];
-      if ((static_cast<int>(n) & ((1 << lv) - 1)) == 0) {
-        const double dtL = dt * static_cast<double>(1 << lv);
-        const double dtL2 = 0.5 * dtL * dtL;
+    // Stride-start Taylor snapshot of the interface points, BEFORE the
+    // masked predictor moves them: u0/v0 are the stride-boundary
+    // kinematics, a0 the acceleration latched at the owning cluster's
+    // last corrector.
+    if (ni > 0) {
+      metrics::PhaseScope ps(&profile_, metrics::Phase::LtsInterpolate);
+      for (std::size_t i = 0; i < ni; ++i) {
+        const int lv = lts_interp_.level[i];
+        if ((n & ((1 << lv) - 1)) != 0) continue;
+        const auto g = static_cast<std::size_t>(lts_interp_.points[i]) * 3;
         for (int c = 0; c < 3; ++c) {
-          const std::size_t q = g * 3 + static_cast<std::size_t>(c);
-          displ_[q] +=
-              static_cast<float>(dtL * veloc_[q] + dtL2 * a_pred_[q]);
-          veloc_[q] += static_cast<float>(0.5 * dtL * a_pred_[q]);
+          interp_u0_[i * 3 + static_cast<std::size_t>(c)] = displ_[g + c];
+          interp_v0_[i * 3 + static_cast<std::size_t>(c)] = veloc_[g + c];
+          interp_a0_[i * 3 + static_cast<std::size_t>(c)] = a_pred_[g + c];
         }
       }
-      accel_[g * 3 + 0] = 0.0f;
-      accel_[g * 3 + 1] = 0.0f;
-      accel_[g * 3 + 2] = 0.0f;
     }
-  });
 
-  // Interface interpolation: faster neighbours gather these points
-  // mid-stride, so their displacement must read the owning cluster's
-  // trajectory at THIS substep's target time, not the full-stride jump
-  // the predictor just wrote. Evaluate the Taylor polynomial at
-  // s = (p + 1) dt into the stride (double math, one float round).
-  if (ni > 0) {
-    metrics::PhaseScope ps(&profile_, metrics::Phase::LtsInterpolate);
-    for (std::size_t i = 0; i < ni; ++i) {
-      const int lv = lts_interp_.level[i];
-      const int p = n & ((1 << lv) - 1);
-      const double s = static_cast<double>(p + 1) * dt;
-      const auto g = static_cast<std::size_t>(lts_interp_.points[i]) * 3;
-      for (int c = 0; c < 3; ++c) {
-        const std::size_t q = i * 3 + static_cast<std::size_t>(c);
-        displ_[g + c] = static_cast<float>(
-            static_cast<double>(interp_u0_[q]) + s * interp_v0_[q] +
-            0.5 * s * s * interp_a0_[q]);
+    // Masked predictor: a level-L point takes its full 2^L dt stride at
+    // the stride-start substep and rests otherwise; acceleration is zeroed
+    // at EVERY point every substep (partial sums at resting points are
+    // junk by construction and discarded).
+    parallel_over(ng, [&](std::size_t b, std::size_t e) {
+      for (std::size_t g = b; g < e; ++g) {
+        const int lv = plevel[g];
+        if ((static_cast<int>(n) & ((1 << lv) - 1)) == 0) {
+          const double dtL = dt * static_cast<double>(1 << lv);
+          const double dtL2 = 0.5 * dtL * dtL;
+          for (int c = 0; c < 3; ++c) {
+            const std::size_t q = g * 3 + static_cast<std::size_t>(c);
+            displ_[q] +=
+                static_cast<float>(dtL * veloc_[q] + dtL2 * a_pred_[q]);
+            veloc_[q] += static_cast<float>(0.5 * dtL * a_pred_[q]);
+          }
+        }
+        accel_[g * 3 + 0] = 0.0f;
+        accel_[g * 3 + 1] = 0.0f;
+        accel_[g * 3 + 2] = 0.0f;
+      }
+    });
+
+    // Interface interpolation: faster neighbours gather these points
+    // mid-stride, so their displacement must read the owning cluster's
+    // trajectory at THIS substep's target time, not the full-stride jump
+    // the predictor just wrote. Evaluate the Taylor polynomial at
+    // s = (p + 1) dt into the stride (double math, one float round).
+    if (ni > 0) {
+      metrics::PhaseScope ps(&profile_, metrics::Phase::LtsInterpolate);
+      for (std::size_t i = 0; i < ni; ++i) {
+        const int lv = lts_interp_.level[i];
+        const int p = n & ((1 << lv) - 1);
+        const double s = static_cast<double>(p + 1) * dt;
+        const auto g = static_cast<std::size_t>(lts_interp_.points[i]) * 3;
+        for (int c = 0; c < 3; ++c) {
+          const std::size_t q = i * 3 + static_cast<std::size_t>(c);
+          displ_[g + c] = static_cast<float>(
+              static_cast<double>(interp_u0_[q]) + s * interp_v0_[q] +
+              0.5 * s * s * interp_a0_[q]);
+        }
       }
     }
+  }
+
+  // Fluid elements are pinned to cluster 0: the potential takes dt.
+  if (global_has_fluid_) {
+    parallel_over(ng, [&](std::size_t b, std::size_t e) {
+      for (std::size_t g = b; g < e; ++g) {
+        chi_[g] += static_cast<float>(dt * chi_dot_[g] + dt2 * chi_ddot_[g]);
+        chi_dot_[g] += static_cast<float>(0.5 * dt * chi_ddot_[g]);
+        chi_ddot_[g] = 0.0f;
+      }
+    });
   }
 }
 
@@ -1463,105 +1375,45 @@ void Simulation::lts_correct() {
   const double dt = cfg_.dt;
   const auto ng = static_cast<std::size_t>(mesh_.nglob);
   const int n = it_;
-  const int* plevel = lts_part_.point_level.data();
 
-  // Degenerate single-cluster run: legacy corrector (a_pred_ stays at its
-  // initial zeros — nothing reads it at one level, and checkpoints of a
-  // single-cluster run round-trip those zeros consistently), plus the
-  // rate-0 clock.
   if (lts_num_levels_ == 1) {
+    // One cluster: the global-dt corrector.
     parallel_over(ng * 3, [&](std::size_t b, std::size_t e) {
       for (std::size_t g = b; g < e; ++g)
         veloc_[g] += static_cast<float>(0.5 * dt * accel_[g]);
     });
-    ++lts_clock_[0];
-    return;
+  } else {
+    // Masked corrector: points due this substep finish their stride with
+    // the freshly assembled acceleration and latch it for the next
+    // predictor. Not-due points keep their half-updated velocity; their
+    // accel_ holds junk that the next substep zeroes.
+    const int* plevel = lts_part_.point_level.data();
+    parallel_over(ng, [&](std::size_t b, std::size_t e) {
+      for (std::size_t g = b; g < e; ++g) {
+        const int lv = plevel[g];
+        if (((n + 1) & ((1 << lv) - 1)) != 0) continue;
+        const double dtL = dt * static_cast<double>(1 << lv);
+        for (int c = 0; c < 3; ++c) {
+          const std::size_t q = g * 3 + static_cast<std::size_t>(c);
+          veloc_[q] += static_cast<float>(0.5 * dtL * accel_[q]);
+          a_pred_[q] = accel_[q];
+        }
+      }
+    });
   }
 
-  // Masked corrector: points due this substep finish their stride with
-  // the freshly assembled acceleration and latch it for the next
-  // predictor. Not-due points keep their half-updated velocity; their
-  // accel_ holds junk that the next substep zeroes.
-  parallel_over(ng, [&](std::size_t b, std::size_t e) {
-    for (std::size_t g = b; g < e; ++g) {
-      const int lv = plevel[g];
-      if (((n + 1) & ((1 << lv) - 1)) != 0) continue;
-      const double dtL = dt * static_cast<double>(1 << lv);
-      for (int c = 0; c < 3; ++c) {
-        const std::size_t q = g * 3 + static_cast<std::size_t>(c);
-        veloc_[q] += static_cast<float>(0.5 * dtL * accel_[q]);
-        a_pred_[q] = accel_[q];
-      }
-    }
-  });
+  if (global_has_fluid_) {
+    parallel_over(ng, [&](std::size_t b, std::size_t e) {
+      for (std::size_t g = b; g < e; ++g)
+        chi_dot_[g] += static_cast<float>(0.5 * dt * chi_ddot_[g]);
+    });
+  }
 
   // Per-rate stride clocks (checkpointed): clock[r] == step_count() >> r
   // after every step.
   for (int r = 0; r < lts_num_levels_; ++r)
     if (((n + 1) & ((1 << r) - 1)) == 0)
       ++lts_clock_[static_cast<std::size_t>(r)];
-}
-
-void Simulation::compute_solid_forces_lts() {
-  const int n = it_;
-  auto rate_active = [&](int r) { return ((n + 1) & ((1 << r) - 1)) == 0; };
-
-  // Boundary clusters first (ascending rate — the per-point summation
-  // order is (rate, color) lexicographic, fixed across thread counts),
-  // then the halo exchange opens and the interior clusters hide it.
-  {
-    metrics::PhaseScope ps(&profile_, metrics::Phase::SolidBoundary);
-    for (std::size_t ri = 0; ri < lts_sched_boundary_.rates.size(); ++ri)
-      if (rate_active(lts_sched_boundary_.rates[ri]))
-        run_element_schedule(
-            lts_sched_boundary_.rate_sched[ri],
-            batched_ ? &lts_packed_boundary_[ri] : nullptr,
-            /*solid=*/true);
-  }
-
-  {
-    // Sources fire every substep: the injection lands on the assembled
-    // acceleration of whatever points are due now and is junk-discarded
-    // elsewhere, so each cluster integrates the STF at its own rate.
-    metrics::PhaseScope ps(&profile_, metrics::Phase::SourceInjection);
-    inject_sources();
-  }
-
-  if (exchanger_ != nullptr) {
-    metrics::PhaseScope ps(&profile_, metrics::Phase::HaloBegin);
-    exchanger_->assemble_add_begin(*comm_, accel_.data(), 3);
-  }
-  {
-    metrics::PhaseScope ps(&profile_, metrics::Phase::SolidInterior);
-    WallTimer t_interior;
-    for (std::size_t ri = 0; ri < lts_sched_interior_.rates.size(); ++ri)
-      if (rate_active(lts_sched_interior_.rates[ri]))
-        run_element_schedule(
-            lts_sched_interior_.rate_sched[ri],
-            batched_ ? &lts_packed_interior_[ri] : nullptr,
-            /*solid=*/true);
-    if (exchanger_ != nullptr)
-      overlap_compute_seconds_ += t_interior.seconds();
-  }
-  if (exchanger_ != nullptr) {
-    metrics::PhaseScope ps(&profile_, metrics::Phase::HaloWait);
-    WallTimer t_wait;
-    exchanger_->assemble_add_end(*comm_);
-    overlap_wait_seconds_ += t_wait.seconds();
-  }
-
-  // Unmasked mass division: cheap, and the junk at not-due points stays
-  // junk (discarded by the masked corrector/predictor pair).
-  metrics::PhaseScope ps_mass(&profile_, metrics::Phase::MassUpdate);
-  const auto ng = static_cast<std::size_t>(mesh_.nglob);
-  parallel_over(ng, [&](std::size_t b, std::size_t e) {
-    for (std::size_t g = b; g < e; ++g) {
-      const float rm = rmass_inv_solid_[g];
-      accel_[g * 3 + 0] *= rm;
-      accel_[g * 3 + 1] *= rm;
-      accel_[g * 3 + 2] *= rm;
-    }
-  });
 }
 
 void Simulation::step() {
@@ -1571,67 +1423,21 @@ void Simulation::step() {
   profile_.begin_step();
   WallTimer t_step;
 
-  const double dt = cfg_.dt;
-  const double dt2 = 0.5 * dt * dt;
-  const auto ng = static_cast<std::size_t>(mesh_.nglob);
-
   {
     metrics::PhaseScope ps(&profile_, metrics::Phase::NewmarkPredictor);
-    // ---- Newmark predictor ----
-    if (lts_active_) {
-      // Masked per-cluster predictor + interface interpolation; at one
-      // cluster this is the loop below, bit for bit.
-      lts_predict();
-    } else {
-      parallel_over(ng * 3, [&](std::size_t b, std::size_t n) {
-        for (std::size_t g = b; g < n; ++g) {
-          displ_[g] += static_cast<float>(dt * veloc_[g] + dt2 * accel_[g]);
-          veloc_[g] += static_cast<float>(0.5 * dt * accel_[g]);
-          accel_[g] = 0.0f;
-        }
-      });
-    }
-    if (global_has_fluid_) {
-      parallel_over(ng, [&](std::size_t b, std::size_t n) {
-        for (std::size_t g = b; g < n; ++g) {
-          chi_[g] +=
-              static_cast<float>(dt * chi_dot_[g] + dt2 * chi_ddot_[g]);
-          chi_dot_[g] += static_cast<float>(0.5 * dt * chi_ddot_[g]);
-          chi_ddot_[g] = 0.0f;
-        }
-      });
-    }
+    lts_predict();
   }
   // The fluid phase is collective (chi_ddot assembly), so it is gated on
   // the global fluid flag: all-solid ranks of a mixed mesh participate
   // with zero local contributions.
   if (global_has_fluid_) compute_fluid_forces();
-
-  if (lts_active_ && lts_num_levels_ > 1)
-    compute_solid_forces_lts();
-  else
-    compute_solid_forces();
-
+  compute_solid_forces();
   {
     metrics::PhaseScope ps(&profile_, metrics::Phase::NewmarkCorrector);
-    // ---- Newmark corrector ----
-    if (lts_active_) {
-      lts_correct();
-    } else {
-      parallel_over(ng * 3, [&](std::size_t b, std::size_t n) {
-        for (std::size_t g = b; g < n; ++g)
-          veloc_[g] += static_cast<float>(0.5 * dt * accel_[g]);
-      });
-    }
-    if (global_has_fluid_) {
-      parallel_over(ng, [&](std::size_t b, std::size_t n) {
-        for (std::size_t g = b; g < n; ++g)
-          chi_dot_[g] += static_cast<float>(0.5 * dt * chi_ddot_[g]);
-      });
-    }
+    lts_correct();
   }
 
-  time_ += dt;
+  time_ += cfg_.dt;
   ++it_;
 
   if (comm_ != nullptr) comm_->add_virtual_compute(flops_per_step());

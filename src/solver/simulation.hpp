@@ -39,34 +39,29 @@
 
 namespace sfg {
 
-/// Element-schedule variants for the time loop (ISSUE 4). All colored
-/// variants share one per-point summation order (ascending color), so
-/// every {Colored, Interleaved} x thread-count combination produces
-/// BIT-IDENTICAL results; only Sequential (the legacy element-order loop)
-/// differs, by float-summation reordering within roundoff.
+/// Element-schedule variants for the time loop. Colored fixes one
+/// per-point summation order (ascending color), so every Colored thread
+/// count produces BIT-IDENTICAL results; Sequential (the legacy
+/// element-order loop) differs from it by float-summation reordering
+/// within roundoff.
 enum class SolverSchedule {
-  /// Sequential at num_threads == 1, Interleaved when threaded (or
-  /// Colored at 1 thread when force_colored_schedule is set).
+  /// Sequential at num_threads == 1 with one LTS cluster, Colored
+  /// otherwise (threaded runs and multi-cluster LTS).
   Auto,
-  /// Legacy element-order loop. Requires num_threads == 1.
+  /// Legacy element-order loop. Requires num_threads == 1 and one
+  /// cluster.
   Sequential,
-  /// Plain color batches (PR 1): race-free but cache-hostile (~25%
-  /// single-thread tax — within one color no two elements share points).
+  /// Color rounds (mesh/coloring.hpp): race-free scatter across threads,
+  /// footprint disjointness proven at schedule build.
   Colored,
-  /// Locality-aware interleaved color pairs (mesh/coloring.hpp second-
-  /// level pass): recovers the gather/scatter reuse inside each work
-  /// unit while footprint disjointness is proven at schedule build.
-  Interleaved,
 };
 
 struct SimulationConfig {
   double dt = 0.0;
   /// Force-kernel variant (ISSUE 6). Auto resolves to the SIMD-batched
   /// kernel on the widest ISA this build compiled AND this CPU supports
-  /// (scalar lanes otherwise) — see resolve_kernel_choice. The env var
-  /// SFG_KERNEL=reference|blas|sse|batched|auto|batched-<isa> overrides
-  /// whatever is set here; the resolved choice is SFG_INFO-logged once
-  /// at construction.
+  /// (scalar lanes otherwise) — see resolve_kernel_choice. The resolved
+  /// choice is SFG_INFO-logged once at construction.
   KernelVariant kernel = KernelVariant::Auto;
 
   /// Anelastic attenuation (paper §6: 1.8x runtime when on).
@@ -91,40 +86,32 @@ struct SimulationConfig {
   int record_every = 1;
 
   /// On-node threads for the element loops and global field updates.
-  /// 1 (the default) is the bit-identical legacy sequential path; > 1
-  /// switches to the colored element schedule (race-free scatter) with
-  /// the halo exchange overlapped by interior-element compute.
+  /// 1 (the default) is the legacy sequential path; > 1 switches to the
+  /// colored element schedule (race-free scatter) with the halo exchange
+  /// overlapped by interior-element compute.
   int num_threads = 1;
 
-  /// Run the colored/overlapped schedule even at num_threads == 1. The
-  /// schedule fixes the per-point summation order independently of the
-  /// thread count, so a forced-colored 1-thread run is bit-identical to
-  /// any multi-threaded run (the determinism reference). Legacy alias:
-  /// only consulted when `schedule` is Auto (maps to Colored).
-  bool force_colored_schedule = false;
-
-  /// Element-schedule selection; Auto resolves from num_threads and
-  /// force_colored_schedule (see SolverSchedule).
+  /// Element-schedule selection; Auto resolves from num_threads and the
+  /// cluster count (see SolverSchedule). A 1-thread Colored run is
+  /// bit-identical to any multi-threaded one (the determinism reference).
   SolverSchedule schedule = SolverSchedule::Auto;
 
-  /// Rate-2 clustered local time stepping (ISSUE 7). When enabled,
-  /// elements are bucketed into dt clusters from `element_dt` (the
-  /// per-element stable-dt estimate, see element_stable_dt); cluster k is
-  /// evaluated every 2^k base steps, so `dt` — which stays the global
-  /// fast step — no longer taxes the slow regions with the fast region's
-  /// Courant bound. step() still advances exactly one base step of `dt`;
-  /// with an empty `element_dt` every element lands in cluster 0 and the
-  /// scheme degenerates to the global-dt path BIT-IDENTICALLY.
+  /// Rate-2 clustered local time stepping. Elements are bucketed into dt
+  /// clusters from `element_dt` (the per-element stable-dt estimate, see
+  /// element_stable_dt); cluster k is evaluated every 2^k base steps, so `dt` — which stays the global fast step —
+  /// no longer taxes the slow regions with the fast region's Courant
+  /// bound. step() still advances exactly one base step of `dt`. An empty
+  /// `element_dt` (the default) skips clustering: one cluster, which is
+  /// global dt.
   ///
   /// Multi-cluster runs refuse attenuation, rotation, fluid regions and
   /// absorbing boundaries (their element updates carry per-step state the
   /// interpolation scheme does not yet serve) and require a colored
   /// schedule. Fluid elements are pinned to cluster 0.
   struct LtsOptions {
-    bool enabled = false;
     /// Cluster-count cap: levels clamp to [0, max_levels).
     int max_levels = 8;
-    /// Per-element stable dt (size nspec); empty = single cluster.
+    /// Per-element stable dt (size nspec); empty = one cluster.
     std::vector<double> element_dt;
     /// TEST ONLY: injection teeth forwarded to the cluster builders so
     /// tests can prove the Simulation refuses an unsound cluster
@@ -284,14 +271,8 @@ class Simulation {
   /// work ran out — the part of the exchange NOT hidden by compute.
   double overlap_wait_seconds() const { return overlap_wait_seconds_; }
   int num_boundary_elements() const { return num_boundary_elements_; }
-  /// Number of race-free solid batches (boundary + interior color groups)
-  /// in the colored schedule; 0 on the legacy sequential path.
-  int num_solid_batches() const;
   /// The schedule variant actually running (config Auto resolved).
   SolverSchedule active_schedule() const { return schedule_; }
-  /// Upper-color elements demoted to residual rounds across the solid and
-  /// fluid interleaved schedules (0 unless Interleaved with > 1 slot).
-  int num_residual_elements() const;
 
   // ---- per-step observability (ISSUE 3) ----
   /// The raw per-phase profile accumulated while stepping (empty when
@@ -310,16 +291,24 @@ class Simulation {
 
   // ---- clustered LTS observability (ISSUE 7) ----
   /// Number of dt clusters on this rank's partition after cross-rank
-  /// smoothing (1 when LTS is off or every element shares one cluster).
+  /// smoothing (1 when element_dt is empty or every element shares one
+  /// cluster).
   int lts_num_levels() const { return lts_num_levels_; }
   /// Cluster-interface GLL points receiving time-interpolated kinematics.
   int lts_num_interface_points() const {
     return static_cast<int>(lts_interp_.points.size());
   }
+  /// Floats held by the multi-cluster marching buffers (the latched
+  /// accelerations and the interface snapshots); 0 at one cluster.
+  std::size_t lts_state_floats() const {
+    return a_pred_.size() + interp_u0_.size() + interp_v0_.size() +
+           interp_a0_.size();
+  }
   /// Per-rate substep clocks: lts_clock()[r] counts completed rate-r
   /// strides; invariant clock[r] == step_count() >> r.
   const std::vector<std::int64_t>& lts_clock() const { return lts_clock_; }
-  /// The smoothed cluster partition (empty level_of when LTS is off).
+  /// The smoothed cluster partition (empty level_of when element_dt is
+  /// empty).
   const ClusterPartition& lts_partition() const { return lts_part_; }
 
  private:
@@ -328,6 +317,13 @@ class Simulation {
   io::SnapshotWriter checkpoint_snapshot() const;
   void restore_from(const io::SnapshotReader& reader,
                     const std::string& label);
+  /// The time-marching fields a checkpoint carries, declared once as
+  /// (section name, field) pairs: checkpoint_snapshot() writes and
+  /// restore_from() reads exactly this list, so new state cannot be saved
+  /// without also being restored. `Self` is Simulation or const
+  /// Simulation.
+  template <class Self>
+  static auto marching_state(Self& self);
 
   struct CouplingPoint {
     int iglob;
@@ -388,33 +384,32 @@ class Simulation {
   void build_coupling_surface();
   void build_absorbing_points();
   void build_colored_schedule();
-  /// Build the smoothed cluster partition + interface set from
-  /// cfg_.lts (cross-rank fixed-point smoothing via assemble_min);
-  /// SFG_CHECKs the multi-cluster feature restrictions and the interface
-  /// invariant (C-D) before any state is allocated.
+  /// Build the smoothed cluster partition + interface set from a
+  /// non-empty cfg_.lts.element_dt (cross-rank fixed-point smoothing via
+  /// assemble_min); SFG_CHECKs the multi-cluster feature restrictions and
+  /// the interface invariant (C-D) before any state is allocated.
   void build_cluster_partition_lts();
   /// Min-combine an int-valued per-point field across ranks (levels /
   /// rates fit exactly in float). No-op when serial.
   void exchange_point_min(std::vector<int>& values) const;
-  /// Masked Newmark predictor for clustered LTS: points due this substep
-  /// take a full stride of their level's dt from a_pred_; interface
-  /// points get time-interpolated displacement instead.
+  /// Newmark predictor, the only one: at one cluster every point takes
+  /// the global dt; with several, points due this substep take a full
+  /// stride of their level's dt from a_pred_ and interface points get
+  /// time-interpolated displacement instead. Fluid always takes dt.
   void lts_predict();
-  /// Masked corrector: due points finish their stride and latch accel
-  /// into a_pred_; per-rate clocks advance.
+  /// Newmark corrector: at one cluster the global-dt half step; with
+  /// several, due points finish their stride and latch accel into
+  /// a_pred_. Per-rate clocks advance.
   void lts_correct();
-  /// Per-rate force pass: every cluster whose rate divides the current
-  /// substep runs its own checked schedule (boundary before the halo
-  /// exchange, interior overlapped), ascending rate.
-  void compute_solid_forces_lts();
-  /// Shared source injection (legacy + LTS force paths).
+  /// Source injection into the solid acceleration.
   void inject_sources();
   void compute_fluid_forces();
+  /// Solid force pass: each marching rate whose stride ends this substep
+  /// runs its checked schedule, ascending (boundary before the halo
+  /// exchange, interior overlapped); one cluster is one rate-0 schedule.
   void compute_solid_forces();
   void process_solid_element(int ispec, ThreadScratch& scratch);
   void process_fluid_element(int ispec, KernelWorkspace& ws);
-  void run_solid_batches(const std::vector<std::vector<int>>& batches);
-  void run_fluid_batches(const std::vector<std::vector<int>>& batches);
   /// Pack the static SoA tables for the batches `cut` carves out of
   /// `items` (the Batched kernel's gather-once data).
   PackedBatches pack_batches(const std::vector<int>& items,
@@ -429,11 +424,11 @@ class Simulation {
                            ThreadScratch& scratch);
   void process_fluid_batch(const PackedBatches& pb, std::size_t b,
                            ThreadScratch& scratch);
-  /// Execute a precomputed interleaved schedule (solid or fluid), via the
-  /// pool when threaded or inline at one thread; paired/residual round
-  /// times feed the SchedulePaired/ScheduleResidual nested phase timers.
-  /// With `packed` non-null the unit ranges are walked batch-wise (whole
-  /// batches tile every unit — checked at schedule build).
+  /// Execute a precomputed color-round schedule (solid or fluid), via the
+  /// pool when threaded or inline at one thread; round times feed the
+  /// ScheduleRound nested phase timer. With `packed` non-null the unit
+  /// ranges are walked batch-wise (whole batches tile every unit —
+  /// checked at schedule build).
   void run_element_schedule(const ElementSchedule& schedule,
                             const PackedBatches* packed, bool solid);
   void parallel_over(std::size_t n,
@@ -463,43 +458,33 @@ class Simulation {
   std::vector<int> fluid_elements_;
 
   // Threading (ISSUE 1): per-thread scratch, the pool (null at 1 thread)
-  // and the colored element schedule. Solid colors are split into
-  // boundary batches (elements touching a halo point — computed before the
-  // exchange starts) and interior batches (overlapped with the exchange).
+  // and the colored element schedules, validated at build time. Solid
+  // elements are split into boundary elements (touching a halo point —
+  // computed before the exchange starts) and interior elements
+  // (overlapped with the exchange); each set carries one schedule per
+  // marching rate, a single rate-0 entry at one cluster.
   std::vector<std::unique_ptr<ThreadScratch>> scratch_;
   std::unique_ptr<ThreadPool> pool_;
   SolverSchedule schedule_ = SolverSchedule::Sequential;  ///< resolved
-  bool colored_schedule_ = false;  ///< any colored variant active
-  std::vector<std::vector<int>> solid_boundary_batches_;
-  std::vector<std::vector<int>> solid_interior_batches_;
-  std::vector<std::vector<int>> fluid_batches_;
-  // Interleaved color-pair schedules (ISSUE 4), validated at build time.
-  ElementSchedule sched_solid_boundary_;
-  ElementSchedule sched_solid_interior_;
+  ClusterSchedule sched_boundary_;
+  ClusterSchedule sched_interior_;
   ElementSchedule sched_fluid_;
-  // Batched-kernel SoA packs (ISSUE 6): one per schedule under colored
-  // variants, plus the legacy-order sequential packs. Empty unless the
-  // resolved kernel variant is Batched.
+  // Batched-kernel SoA packs: one per colored schedule (per
+  // rate for the solid sets), plus the legacy-order sequential packs.
+  // Empty unless the resolved kernel variant is Batched.
   bool batched_ = false;
-  PackedBatches packed_solid_boundary_;
-  PackedBatches packed_solid_interior_;
+  std::vector<PackedBatches> packed_boundary_;
+  std::vector<PackedBatches> packed_interior_;
   PackedBatches packed_fluid_;
   PackedBatches packed_seq_solid_;
   PackedBatches packed_seq_fluid_;
   int num_boundary_elements_ = 0;
   bool global_has_fluid_ = false;  ///< fluid anywhere across all ranks
 
-  // Clustered LTS (ISSUE 7). lts_active_ means cfg_.lts.enabled; the
-  // masked predictor/corrector run whenever it is set (bit-identical to
-  // the legacy update at one cluster), the per-rate force pass only when
-  // lts_num_levels_ > 1.
-  bool lts_active_ = false;
+  // Clustered LTS. One cluster is global dt and allocates none
+  // of the interface state below.
   int lts_num_levels_ = 1;  ///< global (allreduced) cluster count
   ClusterPartition lts_part_;
-  ClusterSchedule lts_sched_boundary_;
-  ClusterSchedule lts_sched_interior_;
-  std::vector<PackedBatches> lts_packed_boundary_;
-  std::vector<PackedBatches> lts_packed_interior_;
   InterfaceSet lts_interp_;
   /// Each point's acceleration at its last due corrector (nglob * 3):
   /// the masked predictor reads it so a slow point's stride uses the

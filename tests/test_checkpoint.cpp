@@ -78,8 +78,7 @@ io::SnapshotIdentity test_identity() {
 struct RunConfig {
   bool fluid_layer = false;
   bool attenuation = false;
-  int num_threads = 1;
-  bool force_colored = false;
+  int num_threads = 1;  ///< > 1 runs the colored schedule
 };
 
 /// Build the box problem, optionally checkpoint at `checkpoint_step` into
@@ -97,7 +96,6 @@ Seismogram run_box(const RunConfig& rc, int nsteps, int checkpoint_step,
   SimulationConfig cfg;
   cfg.dt = 1.5e-3;
   cfg.num_threads = rc.num_threads;
-  cfg.force_colored_schedule = rc.force_colored;
   if (rc.attenuation) {
     const SlsSeries sls = fit_constant_q(80.0, 1.0, 20.0, 3);
     prepare_attenuation(mat, sls);
@@ -152,11 +150,11 @@ TEST_P(CheckpointRoundTrip, RestoreIsBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, CheckpointRoundTrip,
-    ::testing::Values(RunConfig{false, false, 1, false},   // solid, serial
-                      RunConfig{true, false, 1, false},    // fluid/solid
-                      RunConfig{false, true, 1, false},    // attenuation
-                      RunConfig{false, false, 2, true},    // threaded
-                      RunConfig{true, true, 2, true}));    // everything
+    ::testing::Values(RunConfig{false, false, 1},   // solid, serial
+                      RunConfig{true, false, 1},    // fluid/solid
+                      RunConfig{false, true, 1},    // attenuation
+                      RunConfig{false, false, 2},   // threaded
+                      RunConfig{true, true, 2}));   // everything
 
 TEST(Checkpoint, ParallelPerRankRoundTripIsBitIdentical) {
   const auto spec = box_spec();
@@ -446,8 +444,8 @@ TEST_F(CheckpointRejection, MismatchedRunLayoutRejected) {
 // clocks, the latched per-cluster accelerations and the stride-start
 // interface snapshots the masked predictor reads mid-stride. A checkpoint
 // taken MID-STRIDE (step not divisible by the slow strides) must restore
-// all of it bit-identically, and a snapshot can never silently cross the
-// LTS on/off boundary.
+// all of it bit-identically, a snapshot can never silently cross to
+// another cluster count, and one cluster carries none of that state.
 
 /// Velocity-banded solid material for the 4^3 box: the per-element stable
 /// dt spreads by exactly the vp ratio (1:2:4 bottom to top), so with
@@ -471,6 +469,21 @@ MaterialSample banded_rock(double z) {
   return s;
 }
 
+/// The banded box's config: dt = 0.95 * the minimum stable dt, with the
+/// per-element stable dt as element_dt (three clusters) or, with
+/// `one_cluster`, a uniform element_dt of the base step.
+SimulationConfig banded_lts_config(const HexMesh& mesh,
+                                   const MaterialFields& mat,
+                                   bool one_cluster = false) {
+  SimulationConfig cfg;
+  const std::vector<double> edt = element_stable_dt(mesh, mat.vp);
+  cfg.dt = 0.95 * *std::min_element(edt.begin(), edt.end());
+  cfg.lts.element_dt = edt;
+  if (one_cluster)
+    std::fill(cfg.lts.element_dt.begin(), cfg.lts.element_dt.end(), cfg.dt);
+  return cfg;
+}
+
 Seismogram run_lts_box(int nsteps, int checkpoint_step,
                        const std::string& checkpoint_path,
                        const std::string& restore_from) {
@@ -478,12 +491,7 @@ Seismogram run_lts_box(int nsteps, int checkpoint_step,
   HexMesh mesh = build_cartesian_box(box_spec(), basis);
   MaterialFields mat = assign_materials(
       mesh, [](double, double, double z) { return banded_rock(z); });
-  SimulationConfig cfg;
-  const std::vector<double> edt = element_stable_dt(mesh, mat.vp);
-  cfg.dt = 0.95 * *std::min_element(edt.begin(), edt.end());
-  cfg.lts.enabled = true;
-  cfg.lts.element_dt = edt;
-  Simulation sim(mesh, basis, mat, cfg);
+  Simulation sim(mesh, basis, mat, banded_lts_config(mesh, mat));
   EXPECT_EQ(sim.lts_num_levels(), 3);
   sim.add_source(test_source());
   const int rec = sim.add_receiver(700.0, 510.0, 480.0);
@@ -521,28 +529,78 @@ TEST(Checkpoint, LtsMultiClusterMidStrideRoundTripIsBitIdentical) {
   expect_bit_identical(uninterrupted, restarted);
 }
 
-TEST(Checkpoint, LtsOnOffMismatchIsRejected) {
-  const std::string path = temp_path("ckpt_lts_mismatch.snap");
-  run_lts_box(60, 23, path, "");  // snapshot taken with 3 clusters
+TEST(Checkpoint, LtsClusterCountMismatchIsRejected) {
+  const std::string multi_path = temp_path("ckpt_lts_mismatch.snap");
+  run_lts_box(60, 23, multi_path, "");  // snapshot taken with 3 clusters
 
-  // Same mesh, same dt, but a plain global-dt marcher: the meta
-  // fingerprint must refuse before any field is loaded.
+  // Same mesh, same dt, one cluster (global dt), and the reverse: the
+  // meta fingerprint must refuse before any field is loaded.
   GllBasis basis(4);
   HexMesh mesh = build_cartesian_box(box_spec(), basis);
   MaterialFields mat = assign_materials(
       mesh, [](double, double, double z) { return banded_rock(z); });
-  SimulationConfig cfg;
-  const std::vector<double> edt = element_stable_dt(mesh, mat.vp);
-  cfg.dt = 0.95 * *std::min_element(edt.begin(), edt.end());
-  Simulation sim(mesh, basis, mat, cfg);
-  sim.add_source(test_source());
-  sim.add_receiver(700.0, 510.0, 480.0);
-  try {
-    sim.restore_checkpoint(path, test_identity());
-    FAIL() << "LTS snapshot restored into a global-dt run";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("LTS"), std::string::npos)
-        << e.what();
+  Simulation one(mesh, basis, mat,
+                 banded_lts_config(mesh, mat, /*one_cluster=*/true));
+  ASSERT_EQ(one.lts_num_levels(), 1);
+  Simulation multi(mesh, basis, mat, banded_lts_config(mesh, mat));
+  ASSERT_EQ(multi.lts_num_levels(), 3);
+  for (Simulation* sim : {&one, &multi}) {
+    sim->add_source(test_source());
+    sim->add_receiver(700.0, 510.0, 480.0);
+  }
+  const std::string one_path = temp_path("ckpt_lts_one_cluster.snap");
+  one.run(23);
+  one.write_checkpoint(one_path, test_identity());
+
+  for (auto [sim, path] : {std::pair{&one, multi_path},
+                           std::pair{&multi, one_path}}) {
+    try {
+      sim->restore_checkpoint(path, test_identity());
+      ADD_FAILURE() << "snapshot " << path
+                    << " restored into a run with another cluster count";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("LTS cluster"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Checkpoint, SingleClusterCarriesNoLtsBuffersOrSections) {
+  // One cluster is global dt: neither a uniform element_dt nor an empty
+  // one allocates the multi-cluster buffers or checkpoints them. The
+  // three-cluster run is the positive control.
+  GllBasis basis(4);
+  HexMesh mesh = build_cartesian_box(box_spec(), basis);
+  MaterialFields mat = assign_materials(
+      mesh, [](double, double, double z) { return banded_rock(z); });
+  SimulationConfig empty_dt = banded_lts_config(mesh, mat);
+  empty_dt.lts.element_dt.clear();
+  const struct {
+    SimulationConfig cfg;
+    bool clustered;
+    const char* name;
+  } legs[] = {
+      {empty_dt, false, "empty element_dt"},
+      {banded_lts_config(mesh, mat, /*one_cluster=*/true), false,
+       "uniform element_dt"},
+      {banded_lts_config(mesh, mat), true, "three clusters"},
+  };
+  for (const auto& leg : legs) {
+    Simulation sim(mesh, basis, mat, leg.cfg);
+    EXPECT_EQ(sim.lts_num_levels() > 1, leg.clustered) << leg.name;
+    EXPECT_EQ(sim.lts_state_floats() > 0, leg.clustered) << leg.name;
+    sim.run(5);
+    const std::string path = temp_path("ckpt_lts_sections.snap");
+    sim.write_checkpoint(path, test_identity());
+    const io::SnapshotReader reader =
+        io::SnapshotReader::open(path, test_identity());
+    for (const char* section : {"lts.a_pred", "lts.u0", "lts.v0", "lts.a0"})
+      EXPECT_EQ(reader.has(section), leg.clustered)
+          << leg.name << ": section " << section;
+    EXPECT_EQ(reader.read_vector<std::int64_t>("lts.clock"),
+              sim.lts_clock())
+        << leg.name;
   }
 }
 
@@ -595,7 +653,6 @@ TEST(Checkpoint, LtsMidRunRankDeathRestartsBitIdentical) {
           });
       SimulationConfig cfg;
       cfg.dt = dt;  // global minimum — identical on both slices
-      cfg.lts.enabled = true;
       cfg.lts.element_dt = element_stable_dt(slice.mesh, mat.vp);
       if (mode != 0) {
         cfg.checkpoint_interval_steps = interval;

@@ -10,7 +10,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <random>
 #include <set>
@@ -402,6 +405,62 @@ TEST(ShardedFrontend, TinyQueuesBackpressureWithoutDeadlockOrLoss) {
   frontend.wait_all();
   for (int id : ids) EXPECT_EQ(frontend.job(id).state, JobState::Done);
   EXPECT_EQ(frontend.stats().executed, 12u);
+  frontend.shutdown();
+}
+
+/// The value of `f`, waiting at most `limit`. A wait that expires ends the
+/// whole test process with a failure: the stuck call cannot be joined,
+/// and a std::async future would block forever in its destructor.
+template <class T>
+T bounded_get(std::future<T>& f, const char* what,
+              std::chrono::seconds limit = std::chrono::seconds(60)) {
+  if (f.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "FAILED: %s did not return within %lld s\n", what,
+                 static_cast<long long>(limit.count()));
+    std::fflush(stderr);
+    std::_Exit(EXIT_FAILURE);
+  }
+  return f.get();
+}
+
+TEST(ShardedFrontend, HaltingEveryShardFailsQueuedAndLaterJobs) {
+  FrontendConfig config;
+  config.num_shards = 2;
+  config.workers_per_shard = 1;
+  config.work_dir = temp_dir("halt_all");
+  ShardedFrontend frontend(config);
+  std::vector<int> ids;
+  for (int tag = 0; tag < 8; ++tag)
+    ids.push_back(frontend.submit(small_request(tag, /*nsteps=*/120)));
+
+  auto halt = std::async(std::launch::async, [&] {
+    frontend.halt_shard(0);
+    frontend.halt_shard(1);
+  });
+  bounded_get(halt, "halt_shard");
+  auto wait = std::async(std::launch::async, [&] { frontend.wait_all(); });
+  bounded_get(wait, "wait_all after halting every shard");
+
+  int failed = 0;
+  for (int id : ids) {
+    const FrontendJob rec = frontend.job(id);
+    if (rec.state == JobState::Failed) {
+      ++failed;
+      EXPECT_NE(rec.error.find("every shard is halted"), std::string::npos)
+          << rec.error;
+    } else {
+      EXPECT_EQ(rec.state, JobState::Done) << "job " << id;
+    }
+  }
+  EXPECT_GT(failed, 0) << "the halts stranded no queued job";
+
+  auto late = std::async(std::launch::async,
+                         [&] { return frontend.submit(small_request(100)); });
+  const FrontendJob rec =
+      frontend.job(bounded_get(late, "a submit after every shard halted"));
+  EXPECT_EQ(rec.state, JobState::Failed);
+  EXPECT_NE(rec.error.find("every shard is halted"), std::string::npos)
+      << rec.error;
   frontend.shutdown();
 }
 

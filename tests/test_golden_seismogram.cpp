@@ -5,8 +5,8 @@
 // cannot catch.
 //
 // ISSUE 4 extends the gate to a MATRIX: the same committed references must
-// be reproduced by the threaded interleaved schedule (2 and 4 threads) on
-// the globe, and — on a second mixed fluid/solid box golden — by every
+// be reproduced by the threaded colored schedule (2 and 4 threads) on the
+// globe, and — on a second mixed fluid/solid box golden — by every
 // {threads} x {ranks} x {schedule} combination, all within the same
 // 5e-6 * peak float-roundoff tolerance.
 //
@@ -163,17 +163,17 @@ TEST(GoldenSeismogram, MatchesCommittedReference) {
   expect_matches_golden(ref, got, "serial sequential");
 }
 
-// ---- matrix leg 1: threaded interleaved schedule on the globe golden ----
+// ---- matrix leg 1: threaded colored schedule on the globe golden ----
 
-TEST(GoldenSeismogram, ThreadedInterleavedMatchesReference) {
+TEST(GoldenSeismogram, ThreadedColoredMatchesReference) {
   if (std::getenv("SFG_REGEN_GOLDEN") != nullptr)
     GTEST_SKIP() << "regeneration runs the serial reference only";
   const Seismogram ref = read_golden(golden_path());
   for (int threads : {2, 4}) {
     const Seismogram got =
-        compute_seismogram(threads, SolverSchedule::Interleaved);
+        compute_seismogram(threads, SolverSchedule::Colored);
     expect_matches_golden(
-        ref, got, "globe interleaved x " + std::to_string(threads) + "T");
+        ref, got, "globe colored x " + std::to_string(threads) + "T");
   }
 }
 
@@ -282,17 +282,14 @@ TEST(GoldenSeismogram, BoxMatrixMatchesCommittedReference) {
   // threads x schedule, one rank.
   for (int threads : {2, 4})
     expect_matches_golden(
-        ref, compute_box_serial(threads, SolverSchedule::Interleaved),
-        "box interleaved x " + std::to_string(threads) + "T");
+        ref, compute_box_serial(threads, SolverSchedule::Colored),
+        "box colored x " + std::to_string(threads) + "T");
 
   // threads x schedule, two ranks (collective source/receiver election).
   for (int threads : {2, 4})
     expect_matches_golden(
-        ref, compute_box_two_ranks(threads, SolverSchedule::Interleaved),
-        "box 2-rank interleaved x " + std::to_string(threads) + "T");
-  expect_matches_golden(ref,
-                        compute_box_two_ranks(2, SolverSchedule::Colored),
-                        "box 2-rank colored x 2T");
+        ref, compute_box_two_ranks(threads, SolverSchedule::Colored),
+        "box 2-rank colored x " + std::to_string(threads) + "T");
 }
 
 // ---- matrix leg 3: kernel variants (ISSUE 6) ----
@@ -311,9 +308,9 @@ TEST(GoldenSeismogram, KernelVariantsReproduceBoxReference) {
                                            KernelVariant::Reference),
                         "box reference kernel 1T sequential");
   expect_matches_golden(ref,
-                        compute_box_serial(2, SolverSchedule::Interleaved,
+                        compute_box_serial(2, SolverSchedule::Colored,
                                            KernelVariant::Reference),
-                        "box reference kernel 2T interleaved");
+                        "box reference kernel 2T colored");
   expect_matches_golden(ref,
                         compute_box_serial(1, SolverSchedule::Sequential,
                                            KernelVariant::Sse),
@@ -327,9 +324,9 @@ TEST(GoldenSeismogram, KernelVariantsReproduceBoxReference) {
                                            KernelVariant::Batched),
                         "box batched kernel 2T colored");
   expect_matches_golden(ref,
-                        compute_box_serial(4, SolverSchedule::Interleaved,
+                        compute_box_serial(4, SolverSchedule::Colored,
                                            KernelVariant::Batched),
-                        "box batched kernel 4T interleaved");
+                        "box batched kernel 4T colored");
 }
 
 }  // namespace

@@ -770,54 +770,25 @@ TEST(BatchedKernel, RejectsInvalidChoices) {
   EXPECT_THROW(BatchWorkspace(5, 5), CheckError);
 }
 
-// ---- runtime dispatch / SFG_KERNEL spec parsing ---------------------------
+// ---- runtime dispatch -------------------------------------------------------
 
 TEST(KernelResolve, AutoPicksBatchedOnWidestUsableIsa) {
-  const KernelChoice c = resolve_kernel_choice(KernelVariant::Auto, 5, nullptr);
+  const KernelChoice c = resolve_kernel_choice(KernelVariant::Auto, 5);
   EXPECT_EQ(c.variant, KernelVariant::Batched);
   EXPECT_EQ(c.isa, best_batched_isa());
   EXPECT_EQ(c.lanes, simd::isa_width(c.isa));
   // Unlike Sse, Batched carries no ngll restriction.
-  EXPECT_EQ(resolve_kernel_choice(KernelVariant::Auto, 7, nullptr).variant,
+  EXPECT_EQ(resolve_kernel_choice(KernelVariant::Auto, 7).variant,
             KernelVariant::Batched);
   // The compiled/supported predicate holds for the winner by construction.
   EXPECT_TRUE(batched_backend_compiled(c.isa));
   EXPECT_TRUE(simd::cpu_supports(c.isa));
 }
 
-TEST(KernelResolve, OverrideSpecWinsOverRequested) {
-  EXPECT_EQ(resolve_kernel_choice(KernelVariant::Auto, 5, "reference").variant,
-            KernelVariant::Reference);
-  EXPECT_EQ(resolve_kernel_choice(KernelVariant::Reference, 5, "blas").variant,
-            KernelVariant::BlasLike);
-  EXPECT_EQ(resolve_kernel_choice(KernelVariant::Reference, 5, "sse").variant,
+TEST(KernelResolve, RejectsSseOffNgll5) {
+  EXPECT_THROW(resolve_kernel_choice(KernelVariant::Sse, 7), CheckError);
+  EXPECT_EQ(resolve_kernel_choice(KernelVariant::Sse, 5).variant,
             KernelVariant::Sse);
-  const KernelChoice b =
-      resolve_kernel_choice(KernelVariant::Reference, 5, "batched");
-  EXPECT_EQ(b.variant, KernelVariant::Batched);
-  EXPECT_EQ(b.isa, best_batched_isa());
-  const KernelChoice s =
-      resolve_kernel_choice(KernelVariant::Reference, 5, "batched-scalar");
-  EXPECT_EQ(s.variant, KernelVariant::Batched);
-  EXPECT_EQ(s.isa, simd::Isa::Scalar);
-  EXPECT_EQ(s.lanes, 4);
-  // Empty spec = no override.
-  EXPECT_EQ(resolve_kernel_choice(KernelVariant::Reference, 5, "").variant,
-            KernelVariant::Reference);
-}
-
-TEST(KernelResolve, RejectsUnknownOrUnusableSpecs) {
-  EXPECT_THROW(resolve_kernel_choice(KernelVariant::Auto, 5, "turbo"),
-               CheckError);
-  EXPECT_THROW(resolve_kernel_choice(KernelVariant::Sse, 7, nullptr),
-               CheckError);
-  EXPECT_THROW(resolve_kernel_choice(KernelVariant::Auto, 7, "sse"),
-               CheckError);
-  if (!(batched_backend_compiled(simd::Isa::Neon) &&
-        simd::cpu_supports(simd::Isa::Neon))) {
-    EXPECT_THROW(resolve_kernel_choice(KernelVariant::Auto, 5, "batched-neon"),
-                 CheckError);
-  }
 }
 
 TEST(KernelWorkspace, BlasScratchAllocatedLazily) {

@@ -1,9 +1,10 @@
 // Clustered local time stepping (ISSUE 7), solver-level contract.
 //
 // Three gates, mirroring the schedule-property harness one level up:
-//   1. DEGENERACY — single-cluster LTS (empty element_dt) is BIT-IDENTICAL
-//      to the legacy global-dt marcher on every committed golden leg:
-//      {1,2,4} threads x {Sequential, Interleaved} x {Reference, Batched}.
+//   1. DEGENERACY — a uniform element_dt clusters into one cluster, which
+//      is BIT-IDENTICAL to an empty element_dt (no clustering, global dt)
+//      on every committed golden leg:
+//      {1,2,4} threads x {Sequential, Colored} x {Reference, Batched}.
 //   2. CORRECTNESS — a genuinely multi-cluster run (refined-box mesh with
 //      a 4x stable-dt spread, >= 3 clusters) reproduces a committed golden
 //      at 5e-6 * peak across threads, kernels and a 2-rank split, stays
@@ -105,7 +106,7 @@ void expect_bit_identical(const Seismogram& a, const Seismogram& b,
     for (int c = 0; c < 3; ++c)
       ASSERT_EQ(a.displ[i][c], b.displ[i][c])
           << leg << ": sample " << i << " comp " << c
-          << " — single-cluster LTS must be bit-identical to global dt";
+          << " — must be bit-identical";
   }
 }
 
@@ -134,8 +135,8 @@ MaterialSample mixed_material(double, double, double z) {
   return s;
 }
 
-Seismogram run_mixed_box(bool lts, int num_threads, SolverSchedule schedule,
-                         KernelVariant kernel) {
+Seismogram run_mixed_box(bool uniform_dt, int num_threads,
+                         SolverSchedule schedule, KernelVariant kernel) {
   GllBasis basis(4);
   HexMesh mesh = build_cartesian_box(mixed_box_spec(), basis);
   MaterialFields mat = assign_materials(mesh, mixed_material);
@@ -144,10 +145,14 @@ Seismogram run_mixed_box(bool lts, int num_threads, SolverSchedule schedule,
   cfg.num_threads = num_threads;
   cfg.schedule = schedule;
   cfg.kernel = kernel;
-  cfg.lts.enabled = lts;  // empty element_dt: every element in cluster 0
+  // Every element stable at exactly the base step: all in cluster 0.
+  if (uniform_dt)
+    cfg.lts.element_dt.assign(static_cast<std::size_t>(mesh.nspec), cfg.dt);
   Simulation sim(mesh, basis, mat, cfg);
   EXPECT_EQ(sim.lts_num_levels(), 1);
   EXPECT_EQ(sim.lts_num_interface_points(), 0);
+  EXPECT_EQ(sim.lts_state_floats(), 0u);
+  EXPECT_EQ(sim.lts_partition().level_of.empty(), !uniform_dt);
   PointSource src;
   src.x = 480.0;
   src.y = 520.0;
@@ -172,25 +177,25 @@ TEST(LtsSingleCluster, BitIdenticalToGlobalDtAcrossScheduleMatrix) {
        "1T sequential reference"},
       {1, SolverSchedule::Sequential, KernelVariant::Batched,
        "1T sequential batched"},
-      {1, SolverSchedule::Interleaved, KernelVariant::Reference,
-       "1T interleaved reference"},
-      {1, SolverSchedule::Interleaved, KernelVariant::Batched,
-       "1T interleaved batched"},
-      {2, SolverSchedule::Interleaved, KernelVariant::Reference,
-       "2T interleaved reference"},
-      {2, SolverSchedule::Interleaved, KernelVariant::Batched,
-       "2T interleaved batched"},
-      {4, SolverSchedule::Interleaved, KernelVariant::Reference,
-       "4T interleaved reference"},
-      {4, SolverSchedule::Interleaved, KernelVariant::Batched,
-       "4T interleaved batched"},
+      {1, SolverSchedule::Colored, KernelVariant::Reference,
+       "1T colored reference"},
+      {1, SolverSchedule::Colored, KernelVariant::Batched,
+       "1T colored batched"},
+      {2, SolverSchedule::Colored, KernelVariant::Reference,
+       "2T colored reference"},
+      {2, SolverSchedule::Colored, KernelVariant::Batched,
+       "2T colored batched"},
+      {4, SolverSchedule::Colored, KernelVariant::Reference,
+       "4T colored reference"},
+      {4, SolverSchedule::Colored, KernelVariant::Batched,
+       "4T colored batched"},
   };
   for (const Leg& leg : legs) {
-    const Seismogram off =
+    const Seismogram global =
         run_mixed_box(false, leg.threads, leg.schedule, leg.kernel);
-    const Seismogram on =
+    const Seismogram one_cluster =
         run_mixed_box(true, leg.threads, leg.schedule, leg.kernel);
-    expect_bit_identical(off, on, leg.name);
+    expect_bit_identical(global, one_cluster, leg.name);
   }
 }
 
@@ -257,6 +262,7 @@ struct RefinedRun {
   int num_levels = 0;
   int ninterp = 0;
   std::vector<std::int64_t> clock;
+  SolverSchedule schedule = SolverSchedule::Auto;
 };
 
 RefinedRun run_refined_box(bool lts, int num_threads, KernelVariant kernel,
@@ -271,10 +277,7 @@ RefinedRun run_refined_box(bool lts, int num_threads, KernelVariant kernel,
   cfg.schedule = schedule;
   cfg.kernel = kernel;
   cfg.record_every = kRefinedRecordEvery;
-  if (lts) {
-    cfg.lts.enabled = true;
-    cfg.lts.element_dt = element_stable_dt(mesh, mat.vp);
-  }
+  if (lts) cfg.lts.element_dt = element_stable_dt(mesh, mat.vp);
   Simulation sim(mesh, basis, mat, cfg);
   sim.add_source(refined_source());
   const int rec = sim.add_receiver(kRefRecX, kRefRecY, kRefRecZ);
@@ -284,6 +287,7 @@ RefinedRun run_refined_box(bool lts, int num_threads, KernelVariant kernel,
   out.num_levels = sim.lts_num_levels();
   out.ninterp = sim.lts_num_interface_points();
   out.clock = sim.lts_clock();
+  out.schedule = sim.active_schedule();
   return out;
 }
 
@@ -306,7 +310,6 @@ Seismogram run_refined_box_two_ranks(int num_threads) {
     cfg.dt = dt;
     cfg.num_threads = num_threads;
     cfg.record_every = kRefinedRecordEvery;
-    cfg.lts.enabled = true;
     cfg.lts.element_dt = element_stable_dt(slice.mesh, mat.vp);
     Simulation sim(slice.mesh, basis, mat, cfg, &comm, &ex);
     EXPECT_EQ(sim.lts_num_levels(), 3);
@@ -330,6 +333,8 @@ TEST(LtsMultiCluster, MatchesCommittedGoldenAcrossThreadsKernelsRanks) {
   ASSERT_EQ(ref_run.num_levels, 3)
       << "the refined box must produce three dt clusters";
   ASSERT_GT(ref_run.ninterp, 0);
+  EXPECT_EQ(ref_run.schedule, SolverSchedule::Colored)
+      << "Auto must resolve multi-cluster LTS at one thread to Colored";
   ASSERT_EQ(ref_run.seis.time.size(),
             static_cast<std::size_t>(kRefinedSteps / kRefinedRecordEvery));
 
@@ -360,16 +365,16 @@ TEST(LtsMultiCluster, MatchesCommittedGoldenAcrossThreadsKernelsRanks) {
 
 TEST(LtsMultiCluster, ThreadCountsAreBitIdentical) {
   // The per-point summation order is (rate, color) lexicographic and fixed
-  // at schedule build, so — as with the plain interleaved schedule — every
-  // thread count produces the SAME bits, not merely close ones.
+  // at schedule build, so — as with the single-rate colored schedule —
+  // every thread count produces the SAME bits, not merely close ones.
   const Seismogram t1 = run_refined_box(true, 1, KernelVariant::Reference,
-                                        80, SolverSchedule::Interleaved)
+                                        80, SolverSchedule::Colored)
                             .seis;
   const Seismogram t2 = run_refined_box(true, 2, KernelVariant::Reference,
-                                        80, SolverSchedule::Interleaved)
+                                        80, SolverSchedule::Colored)
                             .seis;
   const Seismogram t4 = run_refined_box(true, 4, KernelVariant::Reference,
-                                        80, SolverSchedule::Interleaved)
+                                        80, SolverSchedule::Colored)
                             .seis;
   expect_bit_identical(t1, t2, "multi-cluster 1T vs 2T");
   expect_bit_identical(t1, t4, "multi-cluster 1T vs 4T");
@@ -417,7 +422,6 @@ SimulationConfig refined_lts_config(const HexMesh& mesh,
                                     const MaterialFields& mat) {
   SimulationConfig cfg;
   cfg.dt = refined_base_dt();
-  cfg.lts.enabled = true;
   cfg.lts.element_dt = element_stable_dt(mesh, mat.vp);
   return cfg;
 }

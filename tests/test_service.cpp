@@ -575,6 +575,51 @@ TEST(Campaign, SecondCampaignServesEverythingFromDiskCache) {
   expect_results_equal(*second.result(id), standalone_run(r));
 }
 
+TEST(Campaign, RetryNeverResumesAnotherRequestsCheckpoints) {
+  // Job ids restart at 0 in every front-end opened over one work dir, so
+  // in the reopened front-end request Y runs in the scratch directory
+  // where request X failed for good and left its step-20 checkpoints. Y
+  // has X's mesh, dt, station count and source rank, so those checkpoints
+  // would restore cleanly — Y's retry must start cold anyway. Request W
+  // is served from the store on reopen and keeps the job ids aligned.
+  const std::string work_dir = temp_dir("campaign_scratch_reuse");
+  FrontendConfig cfg;
+  cfg.num_shards = 1;
+  cfg.workers_per_shard = 1;
+  cfg.work_dir = work_dir;
+  const JobRequest w = small_request();
+  JobRequest x = small_request();
+  x.nranks = 2;
+  x.nsteps = 50;
+  x.checkpoint_interval_steps = 10;
+  x.fault.kill_rank = 1;
+  x.fault.kill_step = 25;
+  {
+    cfg.max_retries = 0;
+    ShardedFrontend first(cfg);
+    ASSERT_EQ(first.submit(w), 0);
+    first.wait_all();
+    const int id = first.submit(x);
+    first.wait_all();
+    ASSERT_EQ(first.job(id).state, JobState::Failed);
+  }
+  JobRequest y = x;
+  y.source.z = 610.0;     // new content key, same rank as X's source
+  y.fault.kill_step = 5;  // dies before its own first checkpoint
+  cfg.max_retries = 1;
+  ShardedFrontend second(cfg);
+  ASSERT_TRUE(second.job(second.submit(w)).cache_hit);
+  const int id = second.submit(y);
+  second.wait_all();
+  const FrontendJob rec = second.job(id);
+  ASSERT_EQ(rec.state, JobState::Done) << rec.error;
+  EXPECT_EQ(rec.attempts, 2);
+  EXPECT_EQ(rec.resumed_from_step, -1);
+  JobRequest fault_free = y;
+  fault_free.fault = {};
+  expect_results_equal(*second.result(id), standalone_run(fault_free));
+}
+
 TEST(Campaign, ExhaustedRetriesFailTheJobAndItsDuplicates) {
   FrontendConfig cfg;
   cfg.num_shards = 1;

@@ -104,31 +104,6 @@ struct FinalState {
   aligned_vector<float> displ, veloc;
 };
 
-FinalState run_box(int num_threads, bool force_colored, bool attenuation,
-                   int nsteps) {
-  GllBasis basis(4);
-  HexMesh mesh = build_cartesian_box(box_spec(), basis);
-  MaterialFields mat =
-      assign_materials(mesh, [](double, double, double) { return rock(); });
-  SimulationConfig cfg;
-  cfg.dt = 1.5e-3;
-  cfg.num_threads = num_threads;
-  cfg.force_colored_schedule = force_colored;
-  if (attenuation) {
-    SlsSeries sls = fit_constant_q(80.0, 1.0, 20.0, 3);
-    prepare_attenuation(mat, sls);
-    cfg.attenuation = true;
-    cfg.sls = sls;
-  }
-  Simulation sim(mesh, basis, mat, cfg);
-  sim.add_source(test_source());
-  sim.run(nsteps);
-  FinalState fs;
-  fs.displ = sim.displ();
-  fs.veloc = sim.veloc();
-  return fs;
-}
-
 void expect_bit_identical(const FinalState& a, const FinalState& b) {
   ASSERT_EQ(a.displ.size(), b.displ.size());
   for (std::size_t i = 0; i < a.displ.size(); ++i) {
@@ -146,8 +121,9 @@ void expect_close(const FinalState& a, const FinalState& b, double rel_tol) {
     EXPECT_NEAR(a.displ[i], b.displ[i], rel_tol * peak) << "dof " << i;
 }
 
-FinalState run_box_sched(int num_threads, SolverSchedule schedule,
-                         bool attenuation, int nsteps) {
+FinalState run_box(int num_threads, SolverSchedule schedule,
+                   bool attenuation, int nsteps,
+                   KernelVariant kernel = KernelVariant::Auto) {
   GllBasis basis(4);
   HexMesh mesh = build_cartesian_box(box_spec(), basis);
   MaterialFields mat =
@@ -156,6 +132,7 @@ FinalState run_box_sched(int num_threads, SolverSchedule schedule,
   cfg.dt = 1.5e-3;
   cfg.num_threads = num_threads;
   cfg.schedule = schedule;
+  cfg.kernel = kernel;
   if (attenuation) {
     SlsSeries sls = fit_constant_q(80.0, 1.0, 20.0, 3);
     prepare_attenuation(mat, sls);
@@ -163,7 +140,9 @@ FinalState run_box_sched(int num_threads, SolverSchedule schedule,
     cfg.sls = sls;
   }
   Simulation sim(mesh, basis, mat, cfg);
-  EXPECT_EQ(sim.active_schedule(), schedule);
+  if (schedule != SolverSchedule::Auto) {
+    EXPECT_EQ(sim.active_schedule(), schedule);
+  }
   sim.add_source(test_source());
   sim.run(nsteps);
   FinalState fs;
@@ -175,11 +154,11 @@ FinalState run_box_sched(int num_threads, SolverSchedule schedule,
 TEST(ThreadedSolver, ThreadCountsAreBitIdentical) {
   const int nsteps = 120;
   // The colored schedule fixes the per-point summation order regardless of
-  // the thread count: 1 (forced colored), 2 and 4 threads must agree to
-  // the last bit.
-  const FinalState ref = run_box(1, /*force_colored=*/true, false, nsteps);
-  expect_bit_identical(ref, run_box(2, false, false, nsteps));
-  expect_bit_identical(ref, run_box(4, false, false, nsteps));
+  // the thread count: 1 (explicitly colored), 2 and 4 threads must agree
+  // to the last bit.
+  const FinalState ref = run_box(1, SolverSchedule::Colored, false, nsteps);
+  expect_bit_identical(ref, run_box(2, SolverSchedule::Auto, false, nsteps));
+  expect_bit_identical(ref, run_box(4, SolverSchedule::Auto, false, nsteps));
 }
 
 TEST(ThreadedSolver, ColoredScheduleMatchesLegacySequential) {
@@ -188,46 +167,36 @@ TEST(ThreadedSolver, ColoredScheduleMatchesLegacySequential) {
   // order (paper §4.2's loop-order observation) — results agree to
   // roundoff-level tolerance (same class as the parallel-solver checks,
   // accumulated over 120 steps).
-  const FinalState seq = run_box(1, false, false, nsteps);
-  const FinalState thr = run_box(4, false, false, nsteps);
+  const FinalState seq = run_box(1, SolverSchedule::Sequential, false,
+                                 nsteps);
+  const FinalState thr = run_box(4, SolverSchedule::Auto, false, nsteps);
   expect_close(seq, thr, 5e-6);
 }
 
-// ---- locality-aware interleaved schedule (ISSUE 4) ----
+// ---- the Reference kernel through the color rounds ----
 
-TEST(ThreadedSolver, InterleavedScheduleIsBitIdenticalToColoredAnyThreads) {
+TEST(ThreadedSolver, ColoredReferenceKernelIsBitIdenticalAnyThreads) {
   const int nsteps = 120;
-  // All colored variants share the ascending-color per-point summation
-  // order, so plain colored and interleaved agree to the LAST BIT at any
-  // thread count.
-  const FinalState colored =
-      run_box_sched(1, SolverSchedule::Colored, false, nsteps);
+  // The element-at-a-time kernel walks the same color rounds as the
+  // batched one, so 1, 2 and 4 threads agree to the LAST BIT.
+  const auto ref = KernelVariant::Reference;
+  const FinalState t1 =
+      run_box(1, SolverSchedule::Colored, false, nsteps, ref);
   expect_bit_identical(
-      colored, run_box_sched(1, SolverSchedule::Interleaved, false, nsteps));
+      t1, run_box(2, SolverSchedule::Colored, false, nsteps, ref));
   expect_bit_identical(
-      colored, run_box_sched(2, SolverSchedule::Interleaved, false, nsteps));
-  expect_bit_identical(
-      colored, run_box_sched(4, SolverSchedule::Interleaved, false, nsteps));
+      t1, run_box(4, SolverSchedule::Colored, false, nsteps, ref));
 }
 
-TEST(ThreadedSolver, InterleavedMatchesLegacySequentialWithinRoundoff) {
+TEST(ThreadedSolver, ColoredReferenceKernelWithAttenuationIsBitIdentical) {
   const int nsteps = 120;
-  const FinalState seq =
-      run_box_sched(1, SolverSchedule::Sequential, false, nsteps);
-  expect_close(seq, run_box_sched(4, SolverSchedule::Interleaved, false,
-                                  nsteps),
-               5e-6);
-}
-
-TEST(ThreadedSolver, InterleavedWithAttenuationIsBitIdenticalToColored) {
-  const int nsteps = 120;
-  const FinalState colored =
-      run_box_sched(1, SolverSchedule::Colored, true, nsteps);
+  const auto ref = KernelVariant::Reference;
+  const FinalState t1 = run_box(1, SolverSchedule::Colored, true, nsteps, ref);
   expect_bit_identical(
-      colored, run_box_sched(4, SolverSchedule::Interleaved, true, nsteps));
+      t1, run_box(4, SolverSchedule::Colored, true, nsteps, ref));
 }
 
-TEST(ThreadedSolver, AutoResolvesToInterleavedWhenThreaded) {
+TEST(ThreadedSolver, AutoResolvesToColoredWhenThreaded) {
   GllBasis basis(4);
   HexMesh mesh = build_cartesian_box(box_spec(), basis);
   MaterialFields mat =
@@ -236,15 +205,14 @@ TEST(ThreadedSolver, AutoResolvesToInterleavedWhenThreaded) {
   cfg.dt = 1.5e-3;
   cfg.num_threads = 2;
   Simulation threaded(mesh, basis, mat, cfg);
-  EXPECT_EQ(threaded.active_schedule(), SolverSchedule::Interleaved);
-  EXPECT_GE(threaded.num_residual_elements(), 0);
+  EXPECT_EQ(threaded.active_schedule(), SolverSchedule::Colored);
 
   cfg.num_threads = 1;
   Simulation serial(mesh, basis, mat, cfg);
   EXPECT_EQ(serial.active_schedule(), SolverSchedule::Sequential);
-  cfg.force_colored_schedule = true;
-  Simulation forced(mesh, basis, mat, cfg);
-  EXPECT_EQ(forced.active_schedule(), SolverSchedule::Colored);
+  cfg.schedule = SolverSchedule::Colored;
+  Simulation colored(mesh, basis, mat, cfg);
+  EXPECT_EQ(colored.active_schedule(), SolverSchedule::Colored);
 
   // Sequential at >1 threads is a config error.
   cfg.num_threads = 2;
@@ -254,9 +222,9 @@ TEST(ThreadedSolver, AutoResolvesToInterleavedWhenThreaded) {
 
 TEST(ThreadedSolver, AllBoundarySliceRunsWithEmptyInteriorSchedule) {
   // A 2x1x1 box cut into two single-element slices: EVERY element touches
-  // the halo, so the interior batches and the interior interleaved
-  // schedule are empty — the overlap window opens and closes with zero
-  // elements in between. The run must still complete and match serial.
+  // the halo, so the interior schedule is empty — the overlap window
+  // opens and closes with zero elements in between. The run must still
+  // complete and match serial.
   CartesianBoxSpec spec;
   spec.nx = 2;
   spec.ny = 1;
@@ -292,7 +260,7 @@ TEST(ThreadedSolver, AllBoundarySliceRunsWithEmptyInteriorSchedule) {
     SimulationConfig c;
     c.dt = dt;
     c.num_threads = 2;
-    c.schedule = SolverSchedule::Interleaved;
+    c.schedule = SolverSchedule::Colored;
     Simulation sim(slice.mesh, b, m, c, &comm, &ex);
     // The single element of each slice is a boundary element.
     EXPECT_EQ(sim.num_boundary_elements(), slice.mesh.nspec);
@@ -316,11 +284,11 @@ TEST(ThreadedSolver, AllBoundarySliceRunsWithEmptyInteriorSchedule) {
 
 TEST(ThreadedSolver, AttenuationThreadedIsDeterministicAndMatchesSequential) {
   const int nsteps = 120;
-  const FinalState ref = run_box(1, /*force_colored=*/true, true, nsteps);
-  expect_bit_identical(ref, run_box(2, false, true, nsteps));
-  expect_bit_identical(ref, run_box(4, false, true, nsteps));
-  const FinalState seq = run_box(1, false, true, nsteps);
-  expect_close(seq, run_box(4, false, true, nsteps), 5e-6);
+  const FinalState ref = run_box(1, SolverSchedule::Colored, true, nsteps);
+  expect_bit_identical(ref, run_box(2, SolverSchedule::Auto, true, nsteps));
+  expect_bit_identical(ref, run_box(4, SolverSchedule::Auto, true, nsteps));
+  const FinalState seq = run_box(1, SolverSchedule::Auto, true, nsteps);
+  expect_close(seq, run_box(4, SolverSchedule::Auto, true, nsteps), 5e-6);
 }
 
 // ---- threaded ranks with comm/compute overlap ----
