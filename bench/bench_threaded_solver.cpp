@@ -24,35 +24,28 @@ using namespace sfg;
 
 namespace {
 
-/// Per-step wall time of `steps` solver steps with a given thread count,
-/// schedule variant and kernel variant.
+/// Per-step wall time of `steps` solver steps with a given thread count
+/// and schedule variant.
 double time_steps(bench::GlobeSetup& setup, int num_threads,
-                  SolverSchedule schedule, int steps,
-                  KernelVariant kernel = KernelVariant::Auto) {
+                  SolverSchedule schedule, int steps) {
   SimulationConfig cfg;
   cfg.num_threads = num_threads;
   cfg.schedule = schedule;
-  cfg.kernel = kernel;
   Simulation sim = setup.make_simulation(cfg);
   sim.run(2);  // warm up
   return bench::time_best_of(3, [&] { sim.run(steps); }) / steps;
 }
 
-/// --json <path> (scripts/bench.sh): end-to-end per-step wall time of the
-/// Reference vs Batched (Auto) kernels through the full solver — gather,
-/// kernel, scatter, Newmark updates — written as a JSON fragment. Skips
-/// the interactive sweep.
+/// --json <path> (scripts/bench.sh): end-to-end 1-thread per-step wall
+/// time of the full solver — gather, batched kernel, scatter, Newmark
+/// updates — under the Sequential and Colored schedules (their ratio is
+/// the 1-thread schedule tax), written as a JSON fragment. Skips the
+/// interactive sweep.
 int run_json_mode(const std::string& path) {
   bench::GlobeSetup setup(8);
   const int steps = 6;
-  const double seq_ref = time_steps(setup, 1, SolverSchedule::Sequential,
-                                    steps, KernelVariant::Reference);
-  const double seq_bat = time_steps(setup, 1, SolverSchedule::Sequential,
-                                    steps, KernelVariant::Auto);
-  const double col_ref = time_steps(setup, 1, SolverSchedule::Colored,
-                                    steps, KernelVariant::Reference);
-  const double col_bat = time_steps(setup, 1, SolverSchedule::Colored, steps,
-                                    KernelVariant::Auto);
+  const double seq = time_steps(setup, 1, SolverSchedule::Sequential, steps);
+  const double col = time_steps(setup, 1, SolverSchedule::Colored, steps);
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -62,21 +55,15 @@ int run_json_mode(const std::string& path) {
                "{\n"
                "  \"mesh_elements\": %d,\n"
                "  \"per_step_ms\": {\n"
-               "    \"sequential_reference\": %.6g,\n"
                "    \"sequential_batched\": %.6g,\n"
-               "    \"colored_reference\": %.6g,\n"
                "    \"colored_batched\": %.6g\n"
-               "  },\n"
-               "  \"batched_speedup_sequential\": %.4g,\n"
-               "  \"batched_speedup_colored\": %.4g\n"
+               "  }\n"
                "}\n",
-               setup.globe.mesh.nspec, 1e3 * seq_ref, 1e3 * seq_bat,
-               1e3 * col_ref, 1e3 * col_bat, seq_ref / seq_bat,
-               col_ref / col_bat);
+               setup.globe.mesh.nspec, 1e3 * seq, 1e3 * col);
   std::fclose(f);
-  std::printf("wrote %s (batched end-to-end speedup: %.3gx sequential, "
-              "%.3gx colored)\n",
-              path.c_str(), seq_ref / seq_bat, col_ref / col_bat);
+  std::printf("wrote %s (1-thread schedule tax of colored vs sequential: "
+              "%+.2f%%)\n",
+              path.c_str(), 100.0 * (col / seq - 1.0));
   return 0;
 }
 

@@ -9,10 +9,10 @@
 #  * BENCH_service.json  — campaign throughput (jobs/minute, cache hit
 #    rate, retry overhead, checkpoint-recovery saving),
 #  * BENCH_kernels.json  — per-variant force-kernel elements/s
-#    (bench_sse_kernels) plus end-to-end per-step solver time under the
-#    Reference vs Batched kernels (bench_threaded_solver). HARD GATES:
-#    Batched >= Sse >= Reference elements/s; the script fails when the
-#    bench reports gates_ok=false.
+#    (bench_sse_kernels) plus the solver's 1-thread per-step time under
+#    the Sequential and Colored schedules (bench_threaded_solver). HARD
+#    GATES: Batched >= Sse >= Reference elements/s; the script fails when
+#    the bench reports gates_ok=false.
 #  * BENCH_lts.json      — clustered local-time-stepping speedup vs global
 #    dt (one cluster) plus interpolation overhead (bench_lts). HARD GATE:
 #    multi-cluster speedup >= 1.5x.

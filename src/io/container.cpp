@@ -78,6 +78,28 @@ std::uint64_t record_bytes(const ChunkInfo& c) {
   return 4 + 4 + 8 + c.name.size() + c.bytes + 4;
 }
 
+/// The index of `chunks` placed at `index_offset`, followed by the footer
+/// that points at it: the bytes commit() writes at the tail.
+std::vector<std::byte> index_and_footer(const std::vector<ChunkInfo>& chunks,
+                                        std::uint64_t index_offset) {
+  std::vector<std::byte> tail;
+  append_value(tail, kIndexMarker);
+  append_value(tail, static_cast<std::uint32_t>(chunks.size()));
+  for (const ChunkInfo& c : chunks) {
+    append_value(tail, static_cast<std::uint32_t>(c.name.size()));
+    append_bytes(tail, c.name.data(), c.name.size());
+    append_value(tail, c.offset);
+    append_value(tail, c.bytes);
+    append_value(tail, c.crc);
+  }
+  const std::uint32_t index_crc = crc32(tail.data() + 4, tail.size() - 4);
+  append_value(tail, index_crc);
+  append_value(tail, index_offset);
+  append_value(tail, crc32(&index_offset, sizeof(index_offset)));
+  append_bytes(tail, kEndMagic.data(), kEndMagic.size());
+  return tail;
+}
+
 }  // namespace
 
 Container Container::create(const std::string& path) {
@@ -87,13 +109,18 @@ Container Container::create(const std::string& path) {
   c.fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   SFG_CHECK_MSG(c.fd_ >= 0, "cannot create container '"
                                 << path << "': " << std::strerror(errno));
-  std::vector<std::byte> header;
-  append_bytes(header, kHeaderMagic.data(), kHeaderMagic.size());
-  append_value(header, kContainerVersion);
-  append_value(header, std::uint32_t{0});
-  c.pwrite_exact_or_throw(header);
+  // Header, empty index and footer in one pwrite: a container that never
+  // sees a commit still opens as empty. No fsync here (the first commit
+  // makes the file durable); a crash before it leaves a short file that
+  // readers reject.
+  std::vector<std::byte> image;
+  append_bytes(image, kHeaderMagic.data(), kHeaderMagic.size());
+  append_value(image, kContainerVersion);
+  append_value(image, std::uint32_t{0});
+  const std::vector<std::byte> tail = index_and_footer({}, kHeaderBytes);
+  image.insert(image.end(), tail.begin(), tail.end());
+  c.pwrite_exact_or_throw(image);
   c.append_pos_ = kHeaderBytes;
-  c.dirty_ = true;  // not readable until the first commit
   return c;
 }
 
@@ -317,22 +344,7 @@ void Container::append(const std::string& name, const void* data,
 
 void Container::commit() {
   SFG_CHECK_MSG(writable_, "container '" << path_ << "' is read-only");
-  std::vector<std::byte> tail;
-  append_value(tail, kIndexMarker);
-  append_value(tail, static_cast<std::uint32_t>(chunks_.size()));
-  for (const ChunkInfo& c : chunks_) {
-    append_value(tail, static_cast<std::uint32_t>(c.name.size()));
-    append_bytes(tail, c.name.data(), c.name.size());
-    append_value(tail, c.offset);
-    append_value(tail, c.bytes);
-    append_value(tail, c.crc);
-  }
-  const std::uint32_t index_crc = crc32(tail.data() + 4, tail.size() - 4);
-  append_value(tail, index_crc);
-  const std::uint64_t index_offset = append_pos_;
-  append_value(tail, index_offset);
-  append_value(tail, crc32(&index_offset, sizeof(index_offset)));
-  append_bytes(tail, kEndMagic.data(), kEndMagic.size());
+  const std::vector<std::byte> tail = index_and_footer(chunks_, append_pos_);
   pwrite_exact_or_throw(tail);
 
   // A reopened container may hold stale bytes past the new footer (the

@@ -67,7 +67,8 @@ class Container {
   enum class ReadMode { Pread, Mmap };
 
   /// Create a new empty container at `path` (truncates an existing file),
-  /// open for appending. The file is not valid to read until commit().
+  /// open for appending. The file is a complete empty container until the
+  /// first append; appends become readable at the next commit().
   static Container create(const std::string& path);
   /// Open an existing container for appending (full validation first), or
   /// create it when absent.

@@ -10,7 +10,6 @@ const char* kernel_variant_name(KernelVariant v) {
     case KernelVariant::BlasLike: return "blas";
     case KernelVariant::Sse: return "sse";
     case KernelVariant::Batched: return "batched";
-    case KernelVariant::Auto: return "auto";
   }
   return "?";
 }
@@ -46,25 +45,10 @@ BatchWorkspace::BatchWorkspace(int ngll_in, int lanes_in)
   for (auto& e : epsdev) e.assign(stride, 0.0f);
 }
 
-KernelChoice resolve_kernel_choice(KernelVariant requested, int ngll) {
-  KernelChoice c;
-  c.variant = requested;
-  if (c.variant == KernelVariant::Auto ||
-      c.variant == KernelVariant::Batched) {
-    c.variant = KernelVariant::Batched;
-    c.isa = best_batched_isa();
-    c.lanes = simd::isa_width(c.isa);
-  }
-  SFG_CHECK_MSG(c.variant != KernelVariant::Sse || ngll == 5,
-                "the SSE kernel is specialized for NGLL = 5 (degree 4), as "
-                "in SPECFEM3D_GLOBE");
-  return c;
-}
-
 ForceKernel::ForceKernel(const GllBasis& basis, KernelVariant variant,
                          bool attenuation)
-    : ForceKernel(basis,
-                  resolve_kernel_choice(variant, basis.num_points()),
+    // The ISA and lane count (0 = the ISA's width) only apply to Batched.
+    : ForceKernel(basis, KernelChoice{variant, best_batched_isa(), 0},
                   attenuation) {}
 
 ForceKernel::ForceKernel(const GllBasis& basis, const KernelChoice& choice,
@@ -72,8 +56,6 @@ ForceKernel::ForceKernel(const GllBasis& basis, const KernelChoice& choice,
     : ngll_(basis.num_points()),
       variant_(choice.variant),
       attenuation_(attenuation) {
-  SFG_CHECK_MSG(variant_ != KernelVariant::Auto,
-                "Auto must be resolved before kernel construction");
   SFG_CHECK_MSG(variant_ != KernelVariant::Sse || ngll_ == 5,
                 "the SSE kernel is specialized for NGLL = 5 (degree 4), as "
                 "in SPECFEM3D_GLOBE");
@@ -121,9 +103,7 @@ void ForceKernel::compute_elastic(const ElementPointers& ep,
     // Single-element API of the batched variant: the reference path (the
     // batched entry points are compute_*_batched).
     case KernelVariant::Batched: elastic_reference(ep, ws); return;
-    case KernelVariant::Auto: break;  // resolved at construction
   }
-  SFG_CHECK_MSG(false, "unresolved kernel variant");
 }
 
 namespace {

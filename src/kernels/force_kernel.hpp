@@ -7,7 +7,8 @@
 /// outer core") that perform small matrix-matrix products (typically
 /// 5 x 5) along cutplanes of 3-D arrays.
 ///
-/// Three interchangeable variants are provided:
+/// Four variants compute identical math and must agree to float tolerance
+/// (enforced by tests/test_kernels.cpp):
 ///  * Reference — clean nested loops (the "regular Fortran loops" the
 ///    paper compares against),
 ///  * BlasLike — a generic runtime-dimension SGEMM with cutplane copies,
@@ -24,8 +25,9 @@
 ///    its batch companions or lane position — the lane-order bit-identity
 ///    contract the solver's batched schedules rely on.
 ///
-/// All variants compute identical math and must agree to float tolerance
-/// (enforced by tests/test_kernels.cpp).
+/// The solver always runs Batched on the widest usable ISA. Reference,
+/// BlasLike and Sse are the paper's §4.3 exhibits, timed by
+/// bench_sse_kernels and checked element by element in test_kernels.
 
 #include <cstdint>
 
@@ -40,9 +42,6 @@ enum class KernelVariant {
   BlasLike,
   Sse,
   Batched,
-  /// Resolve to the best supported variant at runtime (Batched on the
-  /// widest usable ISA backend). The SimulationConfig default.
-  Auto,
 };
 
 const char* kernel_variant_name(KernelVariant v);
@@ -72,17 +71,12 @@ simd::Isa best_batched_isa();
 bool batched_backend_compiled(simd::Isa isa);
 
 /// A concrete kernel selection: the variant plus, for Batched, the ISA
-/// backend and SoA lane count. Produced by resolve_kernel_choice.
+/// backend and SoA lane count. Tests and benches pin one backend with it.
 struct KernelChoice {
   KernelVariant variant = KernelVariant::Reference;
   simd::Isa isa = simd::Isa::Scalar;  ///< Batched only
-  int lanes = 1;                      ///< Batched only (4, 8 or 16)
+  int lanes = 1;  ///< Batched only: 4, 8 or 16; <= 0 = the ISA's width
 };
-
-/// Resolve a requested variant (possibly Auto) to a concrete choice.
-/// Auto and Batched pick best_batched_isa(). Throws CheckError when Sse
-/// is requested with ngll != 5.
-KernelChoice resolve_kernel_choice(KernelVariant requested, int ngll);
 
 /// Per-element input pointers: inverse-mapping tables, Jacobian and
 /// isotropic moduli, each an array of ngll^3 values for one element.
@@ -214,8 +208,7 @@ struct BatchWorkspace {
 /// kernels consume.
 class ForceKernel {
  public:
-  /// `variant` may be Auto (or Batched): it is resolved through
-  /// resolve_kernel_choice.
+  /// Batched runs on best_batched_isa() at its native lane count.
   ForceKernel(const GllBasis& basis, KernelVariant variant,
               bool attenuation = false);
   /// Explicit backend selection (tests, A/B benches).

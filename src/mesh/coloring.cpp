@@ -129,21 +129,8 @@ ElementSchedule build_element_schedule(const HexMesh& mesh,
   out.num_slots = opts.num_slots;
   out.items.reserve(elements.size());
 
-  std::vector<std::vector<int>> batches = color_batches(elements, color_of);
-
-  // Within-color RCM proximity order: restores the §4.2 cache blocking
-  // that coloring destroyed. Per-point summation order does not depend on
-  // within-color order (one contribution per color per point), so this is
-  // bit-neutral.
-  if (!opts.proximity_rank.empty()) {
-    SFG_CHECK(opts.proximity_rank.size() ==
-              static_cast<std::size_t>(mesh.nspec));
-    for (auto& b : batches)
-      std::stable_sort(b.begin(), b.end(), [&](int x, int y) {
-        return opts.proximity_rank[static_cast<std::size_t>(x)] <
-               opts.proximity_rank[static_cast<std::size_t>(y)];
-      });
-  }
+  const std::vector<std::vector<int>> batches =
+      color_batches(elements, color_of);
 
   if (opts.num_slots == 1) {
     // One consumer: nothing to keep disjoint, so one unit carries every

@@ -47,10 +47,10 @@ bool coloring_is_valid(const HexMesh& mesh,
 // ---- threaded element schedule ----
 //
 // Color rounds: one round per color, ascending, each split into num_slots
-// contiguous work units; within a color, elements follow the proximity
-// rank (the §4.2 cache blocking). With a SINGLE slot there is no
-// concurrency to protect, so every color goes into one unit of one round,
-// colors still ascending.
+// contiguous work units; within a color, elements keep their input order
+// (the caller's processing order, which carries the §4.2 cache blocking).
+// With a SINGLE slot there is no concurrency to protect, so every color
+// goes into one unit of one round, colors still ascending.
 //
 // Invariants, proven at build time and re-checkable with
 // check_element_schedule:
@@ -65,10 +65,6 @@ struct ScheduleOptions {
   /// Concurrent work-unit slots per round. Usually the thread count;
   /// results are bit-identical across slot counts (invariant 3).
   int num_slots = 1;
-  /// Optional proximity ranking (size nspec): elements within one color
-  /// are ordered by ascending rank (pass an RCM position to restore §4.2
-  /// locality inside colors). Empty keeps the input order.
-  std::vector<int> proximity_rank;
   /// SIMD batch width for the Batched kernel variant (ISSUE 6): when > 1,
   /// a post-pass groups each work unit's items into contiguous batches of
   /// at most this many same-color elements (batch invariant B below) and

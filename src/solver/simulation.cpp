@@ -13,21 +13,11 @@
 
 namespace sfg {
 
-Simulation::ThreadScratch::ThreadScratch(int ngll, bool attenuation,
-                                         const ForceKernel& kernel)
-    : ws(ngll) {
-  // Per-variant allocation (ISSUE 6 satellite): SoA batch scratch only
-  // under the Batched kernel, element-wise r_sum only on the
-  // element-at-a-time paths; BlasLike sizes its staging buffers lazily
-  // inside elastic_blas.
-  if (kernel.variant() == KernelVariant::Batched) {
-    bws = std::make_unique<BatchWorkspace>(ngll, kernel.lanes());
-    if (attenuation)
-      for (auto& comp : r_sum_soa) comp.assign(bws->stride, 0.0f);
-  } else if (attenuation) {
-    for (auto& comp : r_sum)
-      comp.assign(static_cast<std::size_t>(ws.padded), 0.0f);
-  }
+Simulation::ThreadScratch::ThreadScratch(int ngll, int lanes,
+                                         bool attenuation)
+    : bws(ngll, lanes) {
+  if (attenuation)
+    for (auto& comp : r_sum_soa) comp.assign(bws.stride, 0.0f);
 }
 
 Simulation::Simulation(const HexMesh& mesh, const GllBasis& basis,
@@ -40,8 +30,7 @@ Simulation::Simulation(const HexMesh& mesh, const GllBasis& basis,
       cfg_(std::move(config)),
       comm_(comm),
       exchanger_(exchanger),
-      kernel_(basis, resolve_kernel_choice(cfg_.kernel, basis.num_points()),
-              cfg_.attenuation),
+      kernel_(basis, KernelVariant::Batched, cfg_.attenuation),
       profile_(cfg_.metrics.enabled, cfg_.metrics.timeline,
                cfg_.metrics.max_timeline_events) {
   SFG_CHECK(mesh_.numbered() && mesh_.has_jacobians());
@@ -50,14 +39,11 @@ Simulation::Simulation(const HexMesh& mesh, const GllBasis& basis,
   SFG_CHECK_MSG((comm_ == nullptr) == (exchanger_ == nullptr),
                 "parallel runs need both a communicator and an exchanger");
   SFG_CHECK_MSG(cfg_.num_threads >= 1, "num_threads must be at least 1");
+  SFG_CHECK_MSG(cfg_.record_every >= 1, "record_every must be at least 1");
 
-  // One-line ISA/variant report: what the Auto resolution actually
-  // picked for this run.
-  batched_ = kernel_.variant() == KernelVariant::Batched;
-  SFG_INFO("force kernel: variant="
-           << kernel_variant_name(kernel_.variant())
-           << " isa=" << simd::isa_name(kernel_.isa())
-           << " lanes=" << kernel_.lanes());
+  // One-line report of the batched backend this CPU dispatched to.
+  SFG_INFO("force kernel: isa=" << simd::isa_name(kernel_.isa())
+                                << " lanes=" << kernel_.lanes());
 
   for (int e = 0; e < mesh_.nspec; ++e) {
     if (mat_.element_is_fluid[static_cast<std::size_t>(e)])
@@ -82,7 +68,7 @@ Simulation::Simulation(const HexMesh& mesh, const GllBasis& basis,
   scratch_.reserve(static_cast<std::size_t>(cfg_.num_threads));
   for (int t = 0; t < cfg_.num_threads; ++t)
     scratch_.push_back(std::make_unique<ThreadScratch>(
-        basis.num_points(), cfg_.attenuation, kernel_));
+        basis.num_points(), kernel_.lanes(), cfg_.attenuation));
   if (cfg_.num_threads > 1)
     pool_ = std::make_unique<ThreadPool>(cfg_.num_threads);
 
@@ -218,14 +204,11 @@ void Simulation::build_colored_schedule() {
   packed_seq_fluid_ = PackedBatches{};
   num_boundary_elements_ = 0;
   if (schedule_ == SolverSchedule::Sequential) {
-    if (batched_) {
-      // Sequential + batched: consecutive legacy-order runs. Lanes are
-      // arithmetically independent and scattered one by one in item
-      // order, so the per-point summation order is exactly the legacy
-      // element loop's.
-      packed_seq_solid_ = pack_sequential(solid_elements_);
-      packed_seq_fluid_ = pack_sequential(fluid_elements_);
-    }
+    // Consecutive legacy-order runs. Lanes are arithmetically independent
+    // and scattered one by one in item order, so the per-point summation
+    // order is exactly the legacy element loop's.
+    packed_seq_solid_ = pack_sequential(solid_elements_);
+    packed_seq_fluid_ = pack_sequential(fluid_elements_);
     return;
   }
 
@@ -259,21 +242,14 @@ void Simulation::build_colored_schedule() {
     (touches_halo(e) ? boundary : interior).push_back(e);
   num_boundary_elements_ = static_cast<int>(boundary.size());
 
-  // Color rounds with elements ordered by proximity inside each color.
-  // The schedule invariants are re-proven here against the built result,
-  // so a broken builder can never reach the time loop.
+  // Color rounds. Every list scheduled below is a subsequence of `order`,
+  // so elements inside each color keep the legacy processing order (the
+  // mesher's §4.2 cache-blocked storage order). The schedule invariants
+  // are re-proven here against the built result, so a broken builder can
+  // never reach the time loop.
   ScheduleOptions opts;
   opts.num_slots = cfg_.num_threads;
-  opts.batch_lanes = batched_ ? kernel_.lanes() : 1;
-  // Proximity reference = the legacy processing order itself (the mesher
-  // already stores elements in its §4.2 cache-blocked order, and the
-  // element-indexed arrays stream in exactly that order). Re-deriving an
-  // RCM permutation here would fight the storage order it is meant to
-  // approximate.
-  opts.proximity_rank.assign(static_cast<std::size_t>(mesh_.nspec), 0);
-  for (std::size_t pos = 0; pos < order.size(); ++pos)
-    opts.proximity_rank[static_cast<std::size_t>(order[pos])] =
-        static_cast<int>(pos);
+  opts.batch_lanes = kernel_.lanes();
 
   auto build_checked = [&](const std::vector<int>& elems) {
     ElementSchedule s = build_element_schedule(mesh_, elems, color_of, opts);
@@ -303,13 +279,11 @@ void Simulation::build_colored_schedule() {
   sched_boundary_ = build_rates(boundary);
   sched_interior_ = build_rates(interior);
   sched_fluid_ = build_checked(fluid_elements_);
-  if (batched_) {
-    for (const ElementSchedule& s : sched_boundary_.rate_sched)
-      packed_boundary_.push_back(pack_batches(s.items, s.batch_cut));
-    for (const ElementSchedule& s : sched_interior_.rate_sched)
-      packed_interior_.push_back(pack_batches(s.items, s.batch_cut));
-    packed_fluid_ = pack_batches(sched_fluid_.items, sched_fluid_.batch_cut);
-  }
+  for (const ElementSchedule& s : sched_boundary_.rate_sched)
+    packed_boundary_.push_back(pack_batches(s.items, s.batch_cut));
+  for (const ElementSchedule& s : sched_interior_.rate_sched)
+    packed_interior_.push_back(pack_batches(s.items, s.batch_cut));
+  packed_fluid_ = pack_batches(sched_fluid_.items, sched_fluid_.batch_cut);
 }
 
 Simulation::PackedBatches Simulation::pack_batches(
@@ -598,10 +572,37 @@ ElementPointers Simulation::element_pointers(int ispec) const {
   return ep;
 }
 
-// The gather/scatter pair is the hot indirection of the solver: one cached
-// ibool pointer per element replaces the per-point offset arithmetic
-// (measurable at NGLL = 5, where each element makes 125 * 6 global
-// accesses).
+BatchPointers Simulation::batch_pointers(const PackedBatches& pb,
+                                         std::size_t b) const {
+  const std::size_t off = b * pb.stride;
+  BatchPointers bp;
+  bp.xix = pb.xix.data() + off;
+  bp.xiy = pb.xiy.data() + off;
+  bp.xiz = pb.xiz.data() + off;
+  bp.etax = pb.etax.data() + off;
+  bp.etay = pb.etay.data() + off;
+  bp.etaz = pb.etaz.data() + off;
+  bp.gammax = pb.gammax.data() + off;
+  bp.gammay = pb.gammay.data() + off;
+  bp.gammaz = pb.gammaz.data() + off;
+  bp.jacobian = pb.jacobian.data() + off;
+  bp.kappav = pb.kappav.data() + off;
+  bp.muv = pb.muv.data() + off;
+  bp.rho = pb.rho.data() + off;
+  if (cfg_.gravity) {
+    bp.grav_g = pb.grav_g.data() + off;
+    bp.grav_dgdr = pb.grav_dgdr.data() + off;
+    bp.grav_drhodr = pb.grav_drhodr.data() + off;
+    bp.grav_rx = pb.grav_rx.data() + off;
+    bp.grav_ry = pb.grav_ry.data() + off;
+    bp.grav_rz = pb.grav_rz.data() + off;
+    bp.grav_invr = pb.grav_invr.data() + off;
+  }
+  return bp;
+}
+
+// One element's displacement for the single-element kernel API (energy
+// accounting); the time loop gathers whole batches instead.
 void Simulation::gather_element_displ(int ispec, KernelWorkspace& ws) {
   const int* ib = mesh_.ibool.data() + mesh_.local_offset(ispec);
   const int n3 = mesh_.ngll3();
@@ -617,58 +618,9 @@ void Simulation::gather_element_displ(int ispec, KernelWorkspace& ws) {
   }
 }
 
-void Simulation::scatter_element_forces(int ispec,
-                                        const KernelWorkspace& ws) {
-  const int* ib = mesh_.ibool.data() + mesh_.local_offset(ispec);
-  const int n3 = mesh_.ngll3();
-  float* a = accel_.data();
-  const float* fx = ws.fx.data();
-  const float* fy = ws.fy.data();
-  const float* fz = ws.fz.data();
-  for (int p = 0; p < n3; ++p) {
-    const std::size_t g = static_cast<std::size_t>(ib[p]) * 3;
-    a[g + 0] += fx[p];
-    a[g + 1] += fy[p];
-    a[g + 2] += fz[p];
-  }
-}
-
-void Simulation::update_memory_variables(int ispec,
-                                         const KernelWorkspace& ws) {
-  const SlsSeries& sls = *cfg_.sls;
-  const std::size_t off = mesh_.local_offset(ispec);
-  const int n3 = mesh_.ngll3();
-  for (int l = 0; l < sls.num_sls(); ++l) {
-    const auto a = static_cast<float>(exp_a_[l]);
-    const auto b = static_cast<float>(one_minus_a_[l] *
-                                      sls.y[static_cast<std::size_t>(l)]);
-    auto& rl = r_mem_[static_cast<std::size_t>(l)];
-    for (int c = 0; c < 5; ++c) {
-      float* r = rl[static_cast<std::size_t>(c)].data() + off;
-      const float* eps = ws.epsdev[c].data();
-      const float* fac = att_factor_.data() + off;
-      for (int p = 0; p < n3; ++p) r[p] = a * r[p] + b * fac[p] * eps[p];
-    }
-  }
-}
-
-void Simulation::process_fluid_element(int ispec, KernelWorkspace& ws) {
-  const int* ib = mesh_.ibool.data() + mesh_.local_offset(ispec);
-  const int n3 = mesh_.ngll3();
-  const float* c = chi_.data();
-  float* wchi = ws.chi.data();
-  for (int p = 0; p < n3; ++p)
-    wchi[p] = c[static_cast<std::size_t>(ib[p])];
-  kernel_.compute_acoustic(element_pointers(ispec), ws);
-  float* cdd = chi_ddot_.data();
-  const float* fchi = ws.fchi.data();
-  for (int p = 0; p < n3; ++p)
-    cdd[static_cast<std::size_t>(ib[p])] += fchi[p];
-}
-
 void Simulation::process_fluid_batch(const PackedBatches& pb, std::size_t b,
                                      ThreadScratch& scratch) {
-  BatchWorkspace& ws = *scratch.bws;
+  BatchWorkspace& ws = scratch.bws;
   const int lanes = pb.lanes;
   const int count = pb.counts[b];
   const int n3 = mesh_.ngll3();
@@ -686,23 +638,7 @@ void Simulation::process_fluid_batch(const PackedBatches& pb, std::size_t b,
           c[static_cast<std::size_t>(ib[p])];
   }
 
-  BatchPointers bp;
-  const std::size_t boff = b * pb.stride;
-  bp.xix = pb.xix.data() + boff;
-  bp.xiy = pb.xiy.data() + boff;
-  bp.xiz = pb.xiz.data() + boff;
-  bp.etax = pb.etax.data() + boff;
-  bp.etay = pb.etay.data() + boff;
-  bp.etaz = pb.etaz.data() + boff;
-  bp.gammax = pb.gammax.data() + boff;
-  bp.gammay = pb.gammay.data() + boff;
-  bp.gammaz = pb.gammaz.data() + boff;
-  bp.jacobian = pb.jacobian.data() + boff;
-  bp.kappav = pb.kappav.data() + boff;
-  bp.muv = pb.muv.data() + boff;
-  bp.rho = pb.rho.data() + boff;
-
-  kernel_.compute_acoustic_batched(bp, ws);
+  kernel_.compute_acoustic_batched(batch_pointers(pb, b), ws);
 
   float* cdd = chi_ddot_.data();
   for (int l = 0; l < count; ++l) {
@@ -717,7 +653,7 @@ void Simulation::process_fluid_batch(const PackedBatches& pb, std::size_t b,
 
 void Simulation::process_solid_batch(const PackedBatches& pb, std::size_t b,
                                      ThreadScratch& scratch) {
-  BatchWorkspace& ws = *scratch.bws;
+  BatchWorkspace& ws = scratch.bws;
   const int lanes = pb.lanes;
   const int count = pb.counts[b];
   const int n3 = mesh_.ngll3();
@@ -741,34 +677,10 @@ void Simulation::process_solid_batch(const PackedBatches& pb, std::size_t b,
     }
   }
 
-  BatchPointers bp;
-  const std::size_t boff = b * pb.stride;
-  bp.xix = pb.xix.data() + boff;
-  bp.xiy = pb.xiy.data() + boff;
-  bp.xiz = pb.xiz.data() + boff;
-  bp.etax = pb.etax.data() + boff;
-  bp.etay = pb.etay.data() + boff;
-  bp.etaz = pb.etaz.data() + boff;
-  bp.gammax = pb.gammax.data() + boff;
-  bp.gammay = pb.gammay.data() + boff;
-  bp.gammaz = pb.gammaz.data() + boff;
-  bp.jacobian = pb.jacobian.data() + boff;
-  bp.kappav = pb.kappav.data() + boff;
-  bp.muv = pb.muv.data() + boff;
-  bp.rho = pb.rho.data() + boff;
-  if (cfg_.gravity) {
-    bp.grav_g = pb.grav_g.data() + boff;
-    bp.grav_dgdr = pb.grav_dgdr.data() + boff;
-    bp.grav_drhodr = pb.grav_drhodr.data() + boff;
-    bp.grav_rx = pb.grav_rx.data() + boff;
-    bp.grav_ry = pb.grav_ry.data() + boff;
-    bp.grav_rz = pb.grav_rz.data() + boff;
-    bp.grav_invr = pb.grav_invr.data() + boff;
-  }
-
+  BatchPointers bp = batch_pointers(pb, b);
   if (cfg_.attenuation) {
-    // Strided memory-variable pre-sums, mirroring the element path per
-    // lane (pad lanes stay zero — harmless, never scattered).
+    // Strided memory-variable pre-sums over the SLSs, per lane (pad lanes
+    // stay zero — harmless, never scattered).
     const std::size_t used = static_cast<std::size_t>(n3) * ln;
     for (auto& comp : scratch.r_sum_soa)
       std::fill(comp.data(), comp.data() + used, 0.0f);
@@ -804,8 +716,8 @@ void Simulation::process_solid_batch(const PackedBatches& pb, std::size_t b,
 
   kernel_.compute_elastic_batched(bp, ws);
 
-  // Scatter real lanes one by one in item order — the same per-point
-  // summation order as the element-at-a-time path.
+  // Scatter real lanes one by one in item order: the per-point summation
+  // order is the item order, whatever the lane count.
   float* a = accel_.data();
   for (int l = 0; l < count; ++l) {
     const int e = pb.elems[b * ln + static_cast<std::size_t>(l)];
@@ -837,6 +749,9 @@ void Simulation::process_solid_batch(const PackedBatches& pb, std::size_t b,
   }
 
   if (cfg_.attenuation) {
+    // Memory-variable update from this batch's deviatoric strain. Its
+    // time is folded into the AttenuationUpdate phase once per step by
+    // record_attenuation_time(); each thread touches only its own slot.
     auto update = [&] {
       const SlsSeries& sls = *cfg_.sls;
       for (int l = 0; l < count; ++l) {
@@ -870,29 +785,20 @@ void Simulation::process_solid_batch(const PackedBatches& pb, std::size_t b,
 }
 
 void Simulation::run_element_schedule(const ElementSchedule& schedule,
-                                      const PackedBatches* packed,
+                                      const PackedBatches& packed,
                                       bool solid) {
-  const std::vector<int>& items = schedule.items;
   auto run_range = [&](int t, std::size_t b, std::size_t e) {
     ThreadScratch& ts = *scratch_[static_cast<std::size_t>(t)];
-    if (packed != nullptr) {
-      // Batched kernel: whole batches tile every unit range (checked at
-      // schedule build), so walk the cuts covering [b, e).
-      const auto& cut = packed->cut;
-      auto bi = static_cast<std::size_t>(
-          std::lower_bound(cut.begin(), cut.end(), b) - cut.begin());
-      for (; bi + 1 < cut.size() && cut[bi] < e; ++bi) {
-        if (solid)
-          process_solid_batch(*packed, bi, ts);
-        else
-          process_fluid_batch(*packed, bi, ts);
-      }
-    } else if (solid) {
-      for (std::size_t i = b; i < e; ++i)
-        process_solid_element(items[i], ts);
-    } else {
-      for (std::size_t i = b; i < e; ++i)
-        process_fluid_element(items[i], ts.ws);
+    // Whole batches tile every unit range (checked at schedule build), so
+    // walk the cuts covering [b, e).
+    const auto& cut = packed.cut;
+    auto bi = static_cast<std::size_t>(
+        std::lower_bound(cut.begin(), cut.end(), b) - cut.begin());
+    for (; bi + 1 < cut.size() && cut[bi] < e; ++bi) {
+      if (solid)
+        process_solid_batch(packed, bi, ts);
+      else
+        process_fluid_batch(packed, bi, ts);
     }
   };
   // Rounds are nested inside the enclosing solid/fluid phase and
@@ -939,14 +845,10 @@ void Simulation::compute_fluid_forces() {
 
     // Element contributions.
     if (schedule_ == SolverSchedule::Colored) {
-      run_element_schedule(sched_fluid_, batched_ ? &packed_fluid_ : nullptr,
-                           /*solid=*/false);
-    } else if (batched_) {
+      run_element_schedule(sched_fluid_, packed_fluid_, /*solid=*/false);
+    } else {
       for (std::size_t b = 0; b < packed_seq_fluid_.num_batches(); ++b)
         process_fluid_batch(packed_seq_fluid_, b, *scratch_[0]);
-    } else {
-      for (int e : fluid_elements_)
-        process_fluid_element(e, scratch_[0]->ws);
     }
 
     // Solid -> fluid coupling: continuity of normal displacement supplies
@@ -972,70 +874,6 @@ void Simulation::compute_fluid_forces() {
   });
 }
 
-void Simulation::process_solid_element(int e, ThreadScratch& scratch) {
-  KernelWorkspace& ws = scratch.ws;
-  const int n3 = mesh_.ngll3();
-  gather_element_displ(e, ws);
-  ElementPointers ep = element_pointers(e);
-  if (cfg_.attenuation) {
-    // Pre-sum the memory variables over the SLSs for this element.
-    const std::size_t off = mesh_.local_offset(e);
-    for (int c = 0; c < 6; ++c) {
-      float* dst = scratch.r_sum[static_cast<std::size_t>(c)].data();
-      for (int p = 0; p < n3; ++p) dst[p] = 0.0f;
-    }
-    for (const auto& rl : r_mem_) {
-      const float* rxx = rl[0].data() + off;
-      const float* ryy = rl[1].data() + off;
-      const float* rxy = rl[2].data() + off;
-      const float* rxz = rl[3].data() + off;
-      const float* ryz = rl[4].data() + off;
-      float* sxx = scratch.r_sum[0].data();
-      float* syy = scratch.r_sum[1].data();
-      float* szz = scratch.r_sum[2].data();
-      float* sxy = scratch.r_sum[3].data();
-      float* sxz = scratch.r_sum[4].data();
-      float* syz = scratch.r_sum[5].data();
-      for (int p = 0; p < n3; ++p) {
-        sxx[p] += rxx[p];
-        syy[p] += ryy[p];
-        szz[p] -= rxx[p] + ryy[p];  // deviatoric: R_zz = -(R_xx + R_yy)
-        sxy[p] += rxy[p];
-        sxz[p] += rxz[p];
-        syz[p] += ryz[p];
-      }
-    }
-    for (int c = 0; c < 6; ++c)
-      ep.r_sum[c] = scratch.r_sum[static_cast<std::size_t>(c)].data();
-  }
-  kernel_.compute_elastic(ep, ws);
-  scatter_element_forces(e, ws);
-  if (cfg_.gravity) {
-    // Collocated body force: accel += w3 * jacobian * h at each node.
-    const std::size_t off = mesh_.local_offset(e);
-    const int* ib = mesh_.ibool.data() + off;
-    for (int p = 0; p < n3; ++p) {
-      const auto g = static_cast<std::size_t>(ib[p]);
-      const float w = w3jac_[off + static_cast<std::size_t>(p)];
-      accel_[g * 3 + 0] += w * ws.gx[static_cast<std::size_t>(p)];
-      accel_[g * 3 + 1] += w * ws.gy[static_cast<std::size_t>(p)];
-      accel_[g * 3 + 2] += w * ws.gz[static_cast<std::size_t>(p)];
-    }
-  }
-  if (cfg_.attenuation) {
-    if (profile_.enabled()) {
-      // Per-element nested timing: folded into the AttenuationUpdate
-      // phase once per step by record_attenuation_time(). Each thread
-      // touches only its own scratch slot.
-      WallTimer t_att;
-      update_memory_variables(e, ws);
-      scratch.attenuation_seconds += t_att.seconds();
-    } else {
-      update_memory_variables(e, ws);
-    }
-  }
-}
-
 void Simulation::record_attenuation_time() {
   if (!profile_.enabled() || !cfg_.attenuation) return;
   double total = 0.0;
@@ -1057,18 +895,12 @@ void Simulation::compute_solid_forces() {
                        const std::vector<PackedBatches>& packed) {
     for (std::size_t ri = 0; ri < cs.rates.size(); ++ri)
       if (((n + 1) & ((1 << cs.rates[ri]) - 1)) == 0)
-        run_element_schedule(cs.rate_sched[ri],
-                             batched_ ? &packed[ri] : nullptr,
-                             /*solid=*/true);
+        run_element_schedule(cs.rate_sched[ri], packed[ri], /*solid=*/true);
   };
   if (!colored) {
     metrics::PhaseScope ps(&profile_, metrics::Phase::SolidForces);
-    if (batched_) {
-      for (std::size_t b = 0; b < packed_seq_solid_.num_batches(); ++b)
-        process_solid_batch(packed_seq_solid_, b, *scratch_[0]);
-    } else {
-      for (int e : solid_elements_) process_solid_element(e, *scratch_[0]);
-    }
+    for (std::size_t b = 0; b < packed_seq_solid_.num_batches(); ++b)
+      process_solid_batch(packed_seq_solid_, b, *scratch_[0]);
   } else {
     // Boundary elements first: once they (and the cheap surface terms
     // below) have contributed, every halo point holds its final local
@@ -1498,8 +1330,9 @@ EnergySnapshot Simulation::compute_energy() {
   const int n3 = mesh_.ngll3();
 
   // Element-wise kinetic and strain energy: safe to sum across ranks
-  // because every element is owned by exactly one rank.
-  KernelWorkspace& ws = scratch_[0]->ws;
+  // because every element is owned by exactly one rank. The kernel's
+  // single-element API is the Reference path.
+  KernelWorkspace ws(ngll);
   for (int e : solid_elements_) {
     const std::size_t off = mesh_.local_offset(e);
     gather_element_displ(e, ws);

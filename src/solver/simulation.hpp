@@ -58,11 +58,6 @@ enum class SolverSchedule {
 
 struct SimulationConfig {
   double dt = 0.0;
-  /// Force-kernel variant (ISSUE 6). Auto resolves to the SIMD-batched
-  /// kernel on the widest ISA this build compiled AND this CPU supports
-  /// (scalar lanes otherwise) — see resolve_kernel_choice. The resolved
-  /// choice is SFG_INFO-logged once at construction.
-  KernelVariant kernel = KernelVariant::Auto;
 
   /// Anelastic attenuation (paper §6: 1.8x runtime when on).
   bool attenuation = false;
@@ -82,7 +77,7 @@ struct SimulationConfig {
   /// Stacey absorbing boundary faces (regional mode). Empty = none.
   std::vector<ElementFace> absorbing_faces;
 
-  /// Record seismograms every this many steps.
+  /// Record seismograms every this many steps (at least 1).
   int record_every = 1;
 
   /// On-node threads for the element loops and global field updates.
@@ -343,26 +338,20 @@ class Simulation {
     Seismogram seis;
   };
 
-  /// Per-thread compute state: the kernel workspace plus the attenuation
-  /// memory-variable pre-sums, so every thread processes elements without
-  /// sharing scratch. Allocation is per-variant (ISSUE 6 satellite): the
-  /// SoA batch workspace and strided r_sum exist only under the Batched
-  /// kernel, the element-wise r_sum only on the element-at-a-time paths —
-  /// each sized once at construction, never per call.
+  /// Per-thread compute state, sized once at construction, so every
+  /// thread processes batches without sharing scratch: the [point][lane]
+  /// batch workspace and, with attenuation, the matching strided
+  /// memory-variable pre-sums.
   struct ThreadScratch {
-    KernelWorkspace ws;
-    std::array<aligned_vector<float>, 6> r_sum;
-    /// Batched-variant scratch: the [point][lane] workspace and the
-    /// matching strided attenuation pre-sums.
-    std::unique_ptr<BatchWorkspace> bws;
+    BatchWorkspace bws;
     std::array<aligned_vector<float>, 6> r_sum_soa;
-    /// Wall time this thread spent in update_memory_variables (nested
+    /// Wall time this thread spent updating memory variables (nested
     /// inside the solid phases; only accumulated when metrics are on).
     double attenuation_seconds = 0.0;
-    ThreadScratch(int ngll, bool attenuation, const ForceKernel& kernel);
+    ThreadScratch(int ngll, int lanes, bool attenuation);
   };
 
-  /// SoA-packed static element tables for the Batched kernel (ISSUE 6):
+  /// SoA-packed static element tables for the batched kernel:
   /// per batch, up to `lanes` elements' Jacobian/material/gravity tables
   /// interleaved [point][lane], packed ONCE at schedule build. Pad lanes
   /// replicate lane 0 so every lane computes valid numerics (rho != 0
@@ -408,8 +397,6 @@ class Simulation {
   /// runs its checked schedule, ascending (boundary before the halo
   /// exchange, interior overlapped); one cluster is one rate-0 schedule.
   void compute_solid_forces();
-  void process_solid_element(int ispec, ThreadScratch& scratch);
-  void process_fluid_element(int ispec, KernelWorkspace& ws);
   /// Pack the static SoA tables for the batches `cut` carves out of
   /// `items` (the Batched kernel's gather-once data).
   PackedBatches pack_batches(const std::vector<int>& items,
@@ -419,24 +406,24 @@ class Simulation {
   /// summation order exactly.
   PackedBatches pack_sequential(const std::vector<int>& elems) const;
   /// Gather/compute/scatter one SoA batch (and its per-lane attenuation
-  /// memory update) — the batched counterpart of process_solid_element.
+  /// memory update).
   void process_solid_batch(const PackedBatches& pb, std::size_t b,
                            ThreadScratch& scratch);
   void process_fluid_batch(const PackedBatches& pb, std::size_t b,
                            ThreadScratch& scratch);
   /// Execute a precomputed color-round schedule (solid or fluid), via the
   /// pool when threaded or inline at one thread; round times feed the
-  /// ScheduleRound nested phase timer. With `packed` non-null the unit
-  /// ranges are walked batch-wise (whole batches tile every unit —
-  /// checked at schedule build).
+  /// ScheduleRound nested phase timer. Each unit range is walked batch by
+  /// batch through `packed` (whole batches tile every unit — checked at
+  /// schedule build).
   void run_element_schedule(const ElementSchedule& schedule,
-                            const PackedBatches* packed, bool solid);
+                            const PackedBatches& packed, bool solid);
   void parallel_over(std::size_t n,
                      const std::function<void(std::size_t, std::size_t)>& fn);
   void gather_element_displ(int ispec, KernelWorkspace& ws);
-  void scatter_element_forces(int ispec, const KernelWorkspace& ws);
   ElementPointers element_pointers(int ispec) const;
-  void update_memory_variables(int ispec, const KernelWorkspace& ws);
+  /// Kernel inputs of batch `b`: pointers into pb's packed tables.
+  BatchPointers batch_pointers(const PackedBatches& pb, std::size_t b) const;
   void record_receivers();
   /// True iff this rank wins the (error, rank) allreduce election for a
   /// point located with error `error_m`. Collective; serial runs own all.
@@ -469,10 +456,8 @@ class Simulation {
   ClusterSchedule sched_boundary_;
   ClusterSchedule sched_interior_;
   ElementSchedule sched_fluid_;
-  // Batched-kernel SoA packs: one per colored schedule (per
-  // rate for the solid sets), plus the legacy-order sequential packs.
-  // Empty unless the resolved kernel variant is Batched.
-  bool batched_ = false;
+  // SoA batch packs: one per colored schedule (per rate for the solid
+  // sets), plus the legacy-order sequential packs.
   std::vector<PackedBatches> packed_boundary_;
   std::vector<PackedBatches> packed_interior_;
   PackedBatches packed_fluid_;

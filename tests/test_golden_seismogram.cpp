@@ -217,8 +217,7 @@ PointSource box_source() {
 
 constexpr double kBoxRecX = 520.0, kBoxRecY = 480.0, kBoxRecZ = 810.0;
 
-Seismogram compute_box_serial(int num_threads, SolverSchedule schedule,
-                              KernelVariant kernel = KernelVariant::Auto) {
+Seismogram compute_box_serial(int num_threads, SolverSchedule schedule) {
   GllBasis basis(4);
   HexMesh mesh = build_cartesian_box(mixed_box_spec(), basis);
   MaterialFields mat = assign_materials(mesh, box_material);
@@ -226,7 +225,6 @@ Seismogram compute_box_serial(int num_threads, SolverSchedule schedule,
   cfg.dt = kBoxDt;
   cfg.num_threads = num_threads;
   cfg.schedule = schedule;
-  cfg.kernel = kernel;
   Simulation sim(mesh, basis, mat, cfg);
   EXPECT_GT(sim.num_fluid_elements(), 0);
   sim.add_source(box_source());
@@ -290,43 +288,6 @@ TEST(GoldenSeismogram, BoxMatrixMatchesCommittedReference) {
     expect_matches_golden(
         ref, compute_box_two_ranks(threads, SolverSchedule::Colored),
         "box 2-rank colored x " + std::to_string(threads) + "T");
-}
-
-// ---- matrix leg 3: kernel variants (ISSUE 6) ----
-//
-// The legs above all run the SimulationConfig default (Auto -> Batched on
-// the widest usable ISA); this leg pins the other variants — and an
-// explicit Batched request across schedules — to the same committed
-// reference at the same 5e-6 * peak tolerance.
-
-TEST(GoldenSeismogram, KernelVariantsReproduceBoxReference) {
-  if (std::getenv("SFG_REGEN_GOLDEN") != nullptr)
-    GTEST_SKIP() << "regeneration runs the serial reference only";
-  const Seismogram ref = read_golden(box_golden_path());
-  expect_matches_golden(ref,
-                        compute_box_serial(1, SolverSchedule::Sequential,
-                                           KernelVariant::Reference),
-                        "box reference kernel 1T sequential");
-  expect_matches_golden(ref,
-                        compute_box_serial(2, SolverSchedule::Colored,
-                                           KernelVariant::Reference),
-                        "box reference kernel 2T colored");
-  expect_matches_golden(ref,
-                        compute_box_serial(1, SolverSchedule::Sequential,
-                                           KernelVariant::Sse),
-                        "box sse kernel 1T sequential");
-  expect_matches_golden(ref,
-                        compute_box_serial(1, SolverSchedule::Sequential,
-                                           KernelVariant::Batched),
-                        "box batched kernel 1T sequential");
-  expect_matches_golden(ref,
-                        compute_box_serial(2, SolverSchedule::Colored,
-                                           KernelVariant::Batched),
-                        "box batched kernel 2T colored");
-  expect_matches_golden(ref,
-                        compute_box_serial(4, SolverSchedule::Colored,
-                                           KernelVariant::Batched),
-                        "box batched kernel 4T colored");
 }
 
 }  // namespace

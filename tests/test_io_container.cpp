@@ -679,7 +679,13 @@ TEST(ResultStore, ContainerBackendRoundTripsAndReopens) {
   result.seismograms = {seis};
   const service::RequestKey key = 0x1234abcd5678ef90ull;
   {
+    // A store closed before its first write (e.g. a front-end whose only
+    // job failed) must reopen as empty, not as a truncated container.
+    service::ResultStore never_written(tmp.path, io::IoBackendKind::Container);
+  }
+  {
     service::ResultStore store(tmp.path, io::IoBackendKind::Container);
+    EXPECT_EQ(store.size(), 0u);
     EXPECT_FALSE(store.contains(key));
     store.store(key, result);
     EXPECT_TRUE(store.contains(key));

@@ -765,30 +765,22 @@ TEST(BatchedKernel, RejectsInvalidChoices) {
         ForceKernel(b, KernelChoice{KernelVariant::Batched, simd::Isa::Sse, 8}),
         CheckError);
   }
-  // Auto is not a concrete choice.
-  EXPECT_THROW(ForceKernel(b, KernelChoice{KernelVariant::Auto}), CheckError);
   EXPECT_THROW(BatchWorkspace(5, 5), CheckError);
 }
 
 // ---- runtime dispatch -------------------------------------------------------
 
 TEST(KernelResolve, AutoPicksBatchedOnWidestUsableIsa) {
-  const KernelChoice c = resolve_kernel_choice(KernelVariant::Auto, 5);
-  EXPECT_EQ(c.variant, KernelVariant::Batched);
-  EXPECT_EQ(c.isa, best_batched_isa());
-  EXPECT_EQ(c.lanes, simd::isa_width(c.isa));
-  // Unlike Sse, Batched carries no ngll restriction.
-  EXPECT_EQ(resolve_kernel_choice(KernelVariant::Auto, 7).variant,
-            KernelVariant::Batched);
+  // The solver's kernel: Batched on the widest compiled and supported ISA.
+  const ForceKernel k(GllBasis(4), KernelVariant::Batched);
+  EXPECT_EQ(k.variant(), KernelVariant::Batched);
+  EXPECT_EQ(k.isa(), best_batched_isa());
+  EXPECT_EQ(k.lanes(), simd::isa_width(k.isa()));
   // The compiled/supported predicate holds for the winner by construction.
-  EXPECT_TRUE(batched_backend_compiled(c.isa));
-  EXPECT_TRUE(simd::cpu_supports(c.isa));
-}
-
-TEST(KernelResolve, RejectsSseOffNgll5) {
-  EXPECT_THROW(resolve_kernel_choice(KernelVariant::Sse, 7), CheckError);
-  EXPECT_EQ(resolve_kernel_choice(KernelVariant::Sse, 5).variant,
-            KernelVariant::Sse);
+  EXPECT_TRUE(batched_backend_compiled(k.isa()));
+  EXPECT_TRUE(simd::cpu_supports(k.isa()));
+  // Unlike Sse, Batched carries no ngll restriction.
+  EXPECT_EQ(ForceKernel(GllBasis(6), KernelVariant::Batched).ngll(), 7);
 }
 
 TEST(KernelWorkspace, BlasScratchAllocatedLazily) {

@@ -3,11 +3,11 @@
 // Three gates, mirroring the schedule-property harness one level up:
 //   1. DEGENERACY — a uniform element_dt clusters into one cluster, which
 //      is BIT-IDENTICAL to an empty element_dt (no clustering, global dt)
-//      on every committed golden leg:
-//      {1,2,4} threads x {Sequential, Colored} x {Reference, Batched}.
+//      on every schedule/thread leg: 1-thread Sequential and 1/2/4-thread
+//      Colored.
 //   2. CORRECTNESS — a genuinely multi-cluster run (refined-box mesh with
 //      a 4x stable-dt spread, >= 3 clusters) reproduces a committed golden
-//      at 5e-6 * peak across threads, kernels and a 2-rank split, stays
+//      at 5e-6 * peak across threads and a 2-rank split, stays
 //      close to the global-dt solution, and keeps its per-rate clocks on
 //      the clock[r] == step >> r invariant.
 //   3. REFUSAL — the Simulation must REFUSE to march on an unsound cluster
@@ -136,7 +136,7 @@ MaterialSample mixed_material(double, double, double z) {
 }
 
 Seismogram run_mixed_box(bool uniform_dt, int num_threads,
-                         SolverSchedule schedule, KernelVariant kernel) {
+                         SolverSchedule schedule) {
   GllBasis basis(4);
   HexMesh mesh = build_cartesian_box(mixed_box_spec(), basis);
   MaterialFields mat = assign_materials(mesh, mixed_material);
@@ -144,7 +144,6 @@ Seismogram run_mixed_box(bool uniform_dt, int num_threads,
   cfg.dt = 1.0e-3;
   cfg.num_threads = num_threads;
   cfg.schedule = schedule;
-  cfg.kernel = kernel;
   // Every element stable at exactly the base step: all in cluster 0.
   if (uniform_dt)
     cfg.lts.element_dt.assign(static_cast<std::size_t>(mesh.nspec), cfg.dt);
@@ -169,32 +168,18 @@ TEST(LtsSingleCluster, BitIdenticalToGlobalDtAcrossScheduleMatrix) {
   struct Leg {
     int threads;
     SolverSchedule schedule;
-    KernelVariant kernel;
     const char* name;
   };
   const Leg legs[] = {
-      {1, SolverSchedule::Sequential, KernelVariant::Reference,
-       "1T sequential reference"},
-      {1, SolverSchedule::Sequential, KernelVariant::Batched,
-       "1T sequential batched"},
-      {1, SolverSchedule::Colored, KernelVariant::Reference,
-       "1T colored reference"},
-      {1, SolverSchedule::Colored, KernelVariant::Batched,
-       "1T colored batched"},
-      {2, SolverSchedule::Colored, KernelVariant::Reference,
-       "2T colored reference"},
-      {2, SolverSchedule::Colored, KernelVariant::Batched,
-       "2T colored batched"},
-      {4, SolverSchedule::Colored, KernelVariant::Reference,
-       "4T colored reference"},
-      {4, SolverSchedule::Colored, KernelVariant::Batched,
-       "4T colored batched"},
+      {1, SolverSchedule::Sequential, "1T sequential"},
+      {1, SolverSchedule::Colored, "1T colored"},
+      {2, SolverSchedule::Colored, "2T colored"},
+      {4, SolverSchedule::Colored, "4T colored"},
   };
   for (const Leg& leg : legs) {
-    const Seismogram global =
-        run_mixed_box(false, leg.threads, leg.schedule, leg.kernel);
+    const Seismogram global = run_mixed_box(false, leg.threads, leg.schedule);
     const Seismogram one_cluster =
-        run_mixed_box(true, leg.threads, leg.schedule, leg.kernel);
+        run_mixed_box(true, leg.threads, leg.schedule);
     expect_bit_identical(global, one_cluster, leg.name);
   }
 }
@@ -265,7 +250,7 @@ struct RefinedRun {
   SolverSchedule schedule = SolverSchedule::Auto;
 };
 
-RefinedRun run_refined_box(bool lts, int num_threads, KernelVariant kernel,
+RefinedRun run_refined_box(bool lts, int num_threads,
                            int nsteps = kRefinedSteps,
                            SolverSchedule schedule = SolverSchedule::Auto) {
   GllBasis basis(4);
@@ -275,7 +260,6 @@ RefinedRun run_refined_box(bool lts, int num_threads, KernelVariant kernel,
   cfg.dt = refined_base_dt();
   cfg.num_threads = num_threads;
   cfg.schedule = schedule;
-  cfg.kernel = kernel;
   cfg.record_every = kRefinedRecordEvery;
   if (lts) cfg.lts.element_dt = element_stable_dt(mesh, mat.vp);
   Simulation sim(mesh, basis, mat, cfg);
@@ -328,8 +312,7 @@ std::string refined_golden_path() {
 }
 
 TEST(LtsMultiCluster, MatchesCommittedGoldenAcrossThreadsKernelsRanks) {
-  const RefinedRun ref_run =
-      run_refined_box(true, 1, KernelVariant::Reference);
+  const RefinedRun ref_run = run_refined_box(true, 1);
   ASSERT_EQ(ref_run.num_levels, 3)
       << "the refined box must produce three dt clusters";
   ASSERT_GT(ref_run.ninterp, 0);
@@ -349,16 +332,9 @@ TEST(LtsMultiCluster, MatchesCommittedGoldenAcrossThreadsKernelsRanks) {
   }
 
   const Seismogram ref = read_golden(refined_golden_path());
-  expect_matches_golden(ref, ref_run.seis, "refined 1T reference");
-  expect_matches_golden(
-      ref, run_refined_box(true, 1, KernelVariant::Batched).seis,
-      "refined 1T batched");
-  expect_matches_golden(
-      ref, run_refined_box(true, 2, KernelVariant::Reference).seis,
-      "refined 2T reference");
-  expect_matches_golden(
-      ref, run_refined_box(true, 4, KernelVariant::Batched).seis,
-      "refined 4T batched");
+  expect_matches_golden(ref, ref_run.seis, "refined 1T");
+  expect_matches_golden(ref, run_refined_box(true, 2).seis, "refined 2T");
+  expect_matches_golden(ref, run_refined_box(true, 4).seis, "refined 4T");
   expect_matches_golden(ref, run_refined_box_two_ranks(2),
                         "refined 2-rank 2T");
 }
@@ -367,15 +343,12 @@ TEST(LtsMultiCluster, ThreadCountsAreBitIdentical) {
   // The per-point summation order is (rate, color) lexicographic and fixed
   // at schedule build, so — as with the single-rate colored schedule —
   // every thread count produces the SAME bits, not merely close ones.
-  const Seismogram t1 = run_refined_box(true, 1, KernelVariant::Reference,
-                                        80, SolverSchedule::Colored)
-                            .seis;
-  const Seismogram t2 = run_refined_box(true, 2, KernelVariant::Reference,
-                                        80, SolverSchedule::Colored)
-                            .seis;
-  const Seismogram t4 = run_refined_box(true, 4, KernelVariant::Reference,
-                                        80, SolverSchedule::Colored)
-                            .seis;
+  const Seismogram t1 =
+      run_refined_box(true, 1, 80, SolverSchedule::Colored).seis;
+  const Seismogram t2 =
+      run_refined_box(true, 2, 80, SolverSchedule::Colored).seis;
+  const Seismogram t4 =
+      run_refined_box(true, 4, 80, SolverSchedule::Colored).seis;
   expect_bit_identical(t1, t2, "multi-cluster 1T vs 2T");
   expect_bit_identical(t1, t4, "multi-cluster 1T vs 4T");
 }
@@ -386,10 +359,8 @@ TEST(LtsMultiCluster, StaysCloseToGlobalDtSolution) {
   // The comparison is relative L2 over the whole record — interpolation
   // is second-order in the slow strides, so a few percent covers it with
   // headroom while any dropped/garbled interface blows past it.
-  const Seismogram lts = run_refined_box(true, 1, KernelVariant::Reference)
-                             .seis;
-  const Seismogram glob =
-      run_refined_box(false, 1, KernelVariant::Reference).seis;
+  const Seismogram lts = run_refined_box(true, 1).seis;
+  const Seismogram glob = run_refined_box(false, 1).seis;
   ASSERT_EQ(lts.time.size(), glob.time.size());
   double num = 0.0, den = 0.0;
   for (std::size_t i = 0; i < lts.time.size(); ++i)
@@ -406,8 +377,7 @@ TEST(LtsMultiCluster, StaysCloseToGlobalDtSolution) {
 
 TEST(LtsMultiCluster, PerRateClocksTrackTheStepIndex) {
   const int nsteps = 37;  // deliberately mid-stride for levels 1 and 2
-  const RefinedRun r =
-      run_refined_box(true, 1, KernelVariant::Reference, nsteps);
+  const RefinedRun r = run_refined_box(true, 1, nsteps);
   ASSERT_EQ(r.num_levels, 3);
   ASSERT_EQ(r.clock.size(), 3u);
   for (int k = 0; k < 3; ++k)

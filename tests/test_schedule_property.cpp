@@ -134,8 +134,8 @@ struct RandomCase {
 
 // Build one randomized case: a box mesh with random dimensions and GLL
 // order, a coloring computed in a shuffled processing order, a random
-// two-way subset split (mimicking fluid/solid element lists) and random
-// schedule options.
+// two-way subset split (mimicking fluid/solid element lists) and a random
+// slot count. The shuffled order also gives arbitrary within-color orders.
 RandomCase make_random_case(SplitMix64& rng, int index) {
   RandomCase rc;
   CartesianBoxSpec spec;
@@ -161,14 +161,9 @@ RandomCase make_random_case(SplitMix64& rng, int index) {
     (rng.next_double() < frac ? rc.subset_a : rc.subset_b).push_back(e);
 
   rc.opts.num_slots = 1 + static_cast<int>(rng.next_below(8));
-  if (rng.next_double() < 0.5) {
-    const auto rcm = reverse_cuthill_mckee(element_adjacency(rc.mesh));
-    rc.opts.proximity_rank.assign(
-        static_cast<std::size_t>(rc.mesh.nspec), 0);
-    for (std::size_t pos = 0; pos < rcm.size(); ++pos)
-      rc.opts.proximity_rank[static_cast<std::size_t>(rcm[pos])] =
-          static_cast<int>(pos);
-  }
+  // Unused draw, kept so the seeded corpus stays the one the sweep-count
+  // assertions below were sized on.
+  rng.next_double();
 
   rc.ctx = "case " + std::to_string(index) + " (" +
            std::to_string(spec.nx) + "x" + std::to_string(spec.ny) + "x" +

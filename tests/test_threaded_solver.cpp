@@ -122,8 +122,7 @@ void expect_close(const FinalState& a, const FinalState& b, double rel_tol) {
 }
 
 FinalState run_box(int num_threads, SolverSchedule schedule,
-                   bool attenuation, int nsteps,
-                   KernelVariant kernel = KernelVariant::Auto) {
+                   bool attenuation, int nsteps) {
   GllBasis basis(4);
   HexMesh mesh = build_cartesian_box(box_spec(), basis);
   MaterialFields mat =
@@ -132,7 +131,6 @@ FinalState run_box(int num_threads, SolverSchedule schedule,
   cfg.dt = 1.5e-3;
   cfg.num_threads = num_threads;
   cfg.schedule = schedule;
-  cfg.kernel = kernel;
   if (attenuation) {
     SlsSeries sls = fit_constant_q(80.0, 1.0, 20.0, 3);
     prepare_attenuation(mat, sls);
@@ -171,29 +169,6 @@ TEST(ThreadedSolver, ColoredScheduleMatchesLegacySequential) {
                                  nsteps);
   const FinalState thr = run_box(4, SolverSchedule::Auto, false, nsteps);
   expect_close(seq, thr, 5e-6);
-}
-
-// ---- the Reference kernel through the color rounds ----
-
-TEST(ThreadedSolver, ColoredReferenceKernelIsBitIdenticalAnyThreads) {
-  const int nsteps = 120;
-  // The element-at-a-time kernel walks the same color rounds as the
-  // batched one, so 1, 2 and 4 threads agree to the LAST BIT.
-  const auto ref = KernelVariant::Reference;
-  const FinalState t1 =
-      run_box(1, SolverSchedule::Colored, false, nsteps, ref);
-  expect_bit_identical(
-      t1, run_box(2, SolverSchedule::Colored, false, nsteps, ref));
-  expect_bit_identical(
-      t1, run_box(4, SolverSchedule::Colored, false, nsteps, ref));
-}
-
-TEST(ThreadedSolver, ColoredReferenceKernelWithAttenuationIsBitIdentical) {
-  const int nsteps = 120;
-  const auto ref = KernelVariant::Reference;
-  const FinalState t1 = run_box(1, SolverSchedule::Colored, true, nsteps, ref);
-  expect_bit_identical(
-      t1, run_box(4, SolverSchedule::Colored, true, nsteps, ref));
 }
 
 TEST(ThreadedSolver, AutoResolvesToColoredWhenThreaded) {
